@@ -39,6 +39,18 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return a
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls with its validation skipped.
+
+    Only for values derived from already-validated inputs by code that keeps
+    the invariants __post_init__ would check (the harness step loop).
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _det3(m: np.ndarray) -> float:
     return float(
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])

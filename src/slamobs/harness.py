@@ -6,6 +6,14 @@ states, and then both the observer and the truth advance by one step. The
 final step is always recorded even when a decimation stride is active, so
 "final error" summaries are well defined.
 
+run and trajectory share one loop (_steps) over raw float64 arrays. It
+calls the same raw helpers that observer_step, true_step and sense wrap,
+forms the landmark errors once per step for both the metrics and the
+update, and computes the truth's pose increment once per twist knot. The
+public value types are built only at the boundary: trajectory wraps every
+step into a StepSnapshot, run only the recorded steps, which it passes to
+compute_metrics. Inputs are validated once, by ScenarioConfig.
+
 All truth-aware diagnostics (pose error, bias error, the Lyapunov-style
 energy) are computed here in the harness, where the truth is available; the
 observer itself never sees it.
@@ -20,18 +28,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import rotation_distance
+from .geometry import Pose, Rotation3, _trusted, rotation_distance
 from .observer import (
     DivergenceError,
     ObserverState,
+    _errors_raw,
+    _step_raw,
     bias_error,
-    landmark_errors,
     lyapunov_value,
-    observer_step,
     pose_error,
 )
 from .scenario import ScenarioConfig
-from .world import SensorFrame, TrueState, sense, true_step
+from .world import SensorFrame, TrueState, _increment_raw, _sense_raw, _true_step_raw
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
@@ -72,13 +80,81 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class StepSnapshot:
-    """One instant of the co-simulation, before the step-k updates apply."""
+    """One instant of the co-simulation, before the step-k updates apply.
+
+    e holds the landmark errors of state against frame (landmark_errors),
+    which the observer's k-th update uses.
+    """
 
     k: int
     t: float
     truth: TrueState
     state: ObserverState
     frame: SensorFrame
+    e: np.ndarray
+
+
+def _steps(config: ScenarioConfig):
+    """The co-simulation loop on raw arrays, for k = 0 .. step_count.
+
+    Yields (k, t, (rot, pos), estimate, (omega_m, v_m, y), e) before the k-th
+    update, where estimate is laid out as ObserverState.arrays() and e are the
+    landmark errors of that estimate and measurement. No yielded array is
+    modified afterwards, so callers may keep them.
+    """
+    landmarks = config.landmarks
+    bias, noise, gains = config.bias, config.noise, config.gains
+    rng = noise.make_rng()
+    steps = config.step_count
+    dt = config.dt
+    rot, pos = config.initial_pose.rotation.m, config.initial_pose.position
+    estimate = config.initial_estimates.arrays()
+    # The truth's pose increment depends only on the twist: keep it per knot.
+    increment_twist = increment = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            t = k * dt
+            twist = config.twist_profile.at(t)
+            measurement = _sense_raw(rot, pos, landmarks, twist, bias, noise, rng)
+            e = _errors_raw(*estimate[:3], measurement[2])
+            yield k, t, (rot, pos), estimate, measurement, e
+            if k == steps:
+                break
+            try:
+                estimate = _step_raw(estimate, measurement, e, gains, dt, implicit=True)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"observer diverged at step {k} (t = {t:.6g} s): {exc}", step=k
+                ) from exc
+            if twist is not increment_twist:
+                increment_twist, increment = twist, _increment_raw(twist, dt)
+            rot, pos = _true_step_raw(rot, pos, *increment)
+
+
+def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> StepSnapshot:
+    """Wrap one step of _steps into the public value types.
+
+    Every value derives from the validated config through the loop, so the
+    types are built without re-validation.
+    """
+    (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) = truth, estimate
+    omega_m, v_m, y = measurement
+    pose = _trusted(Pose, rotation=Rotation3._wrap(rot), position=pos)
+    return StepSnapshot(
+        k,
+        t,
+        _trusted(TrueState, pose=pose, landmarks=config.landmarks),
+        _trusted(
+            ObserverState,
+            r_hat=Rotation3._wrap(r_hat),
+            p_hat=p_hat,
+            landmarks_hat=landmarks_hat,
+            b_omega_hat=b_omega_hat,
+            b_v_hat=b_v_hat,
+        ),
+        _trusted(SensorFrame, omega_m=omega_m, v_m=v_m, y=y, t=t),
+        e,
+    )
 
 
 def trajectory(config: ScenarioConfig) -> Iterator[StepSnapshot]:
@@ -89,33 +165,15 @@ def trajectory(config: ScenarioConfig) -> Iterator[StepSnapshot]:
     step (observer_step with scheme="implicit"). Raises DivergenceError (with
     the failing step index) if the observer update leaves the finite range.
     """
-    truth = TrueState(config.initial_pose, config.landmarks)
-    state = config.initial_estimates
-    rng = config.noise.make_rng()
-    steps = config.step_count
-    dt = config.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            t = k * dt
-            twist = config.twist_profile.at(t)
-            frame = sense(truth, config.bias, config.noise, twist, rng, t)
-            yield StepSnapshot(k, t, truth, state, frame)
-            if k == steps:
-                break
-            try:
-                state = observer_step(state, frame, config.gains, dt, scheme="implicit")
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"observer diverged at step {k} (t = {t:.6g} s): {exc}", step=k
-                ) from exc
-            truth = true_step(truth, twist, dt)
+    for step in _steps(config):
+        yield _snapshot(config, *step)
 
 
 def compute_metrics(snapshot: StepSnapshot, config: ScenarioConfig) -> MetricsRecord:
     """Pure function of a snapshot; recomputing from a saved trace is bit-exact."""
     state = snapshot.state
     truth = snapshot.truth
-    e = landmark_errors(state, snapshot.frame)
+    e = snapshot.e
     e_norm = np.sqrt((e * e).sum(axis=1))
     diff = truth.landmarks - state.landmarks_hat
     p_err = np.sqrt((diff * diff).sum(axis=1))
@@ -144,9 +202,10 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
         raise ValueError(f"stride must be >= 1, got {stride}")
     steps = config.step_count
     records = []
-    for snapshot in trajectory(config):
-        if snapshot.k % stride == 0 or snapshot.k == steps:
-            records.append(compute_metrics(snapshot, config))
+    for step in _steps(config):
+        k = step[0]
+        if k % stride == 0 or k == steps:
+            records.append(compute_metrics(_snapshot(config, *step), config))
     return records
 
 

@@ -82,6 +82,10 @@ class ObserverState:
     def count(self) -> int:
         return self.landmarks_hat.shape[0]
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(R_hat matrix, P_hat, landmarks_hat, b_omega_hat, b_v_hat)."""
+        return self.r_hat.m, self.p_hat, self.landmarks_hat, self.b_omega_hat, self.b_v_hat
+
     @property
     def pose_hat(self) -> Pose:
         return Pose(self.r_hat, self.p_hat)
@@ -107,14 +111,16 @@ class GainConfig:
     def __post_init__(self) -> None:
         for name in ("k_p", "k_w"):
             value = float(getattr(self, name))
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, value)
         g = np.asarray(self.gamma, dtype=float)
         if g.shape == ():
             g = float(g) * np.eye(3)
         if g.shape != (3, 3):
             raise ValueError(f"gamma must be a scalar or 3x3 matrix, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("gamma must be finite")
         if np.abs(g - g.T).max() > 1e-9:
             raise ValueError("gamma must be symmetric")
         smallest = float(np.linalg.eigvalsh(g)[0])
@@ -122,8 +128,8 @@ class GainConfig:
             raise ValueError(f"gamma must be positive definite (smallest eigenvalue {smallest!r})")
         object.__setattr__(self, "gamma", g)
         a = np.asarray(self.alpha, dtype=float).reshape(-1)
-        if not (a > 0.0).all():
-            raise ValueError(f"all alpha values must be positive, got {a}")
+        if not ((a > 0.0) & (a < math.inf)).all():
+            raise ValueError(f"all alpha values must be positive and finite, got {a}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "gamma_inv", np.linalg.inv(g))
 
@@ -214,7 +220,14 @@ def landmark_errors(state: ObserverState, frame: SensorFrame) -> np.ndarray:
             f"frame carries {frame.count} landmark measurements, "
             f"observer tracks {state.count}"
         )
-    return state.landmarks_hat - (frame.y @ state.r_hat.m.T + state.p_hat)
+    return _errors_raw(state.r_hat.m, state.p_hat, state.landmarks_hat, frame.y)
+
+
+def _errors_raw(
+    r_hat: np.ndarray, p_hat: np.ndarray, landmarks_hat: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Landmark errors p_hat_i - (R_hat y_i + P_hat) on raw arrays."""
+    return landmarks_hat - (y @ r_hat.T + p_hat)
 
 
 def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,14 +239,14 @@ def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _innovation_sums(
-    state: ObserverState, frame: SensorFrame, gains: GainConfig, e: np.ndarray
+    r_hat: np.ndarray, y: np.ndarray, gains: GainConfig, e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-landmark sums shared by the corrections and the bias adaptation.
 
     Returns (sum_i [y_i]_x R_hat^T e_i / alpha_i, sum_i R_hat^T e_i / alpha_i).
     """
-    u = (e @ state.r_hat.m) / gains.alpha[:, None]
-    return _row_cross(frame.y, u).sum(axis=0), u.sum(axis=0)
+    u = (e @ r_hat) / gains.alpha[:, None]
+    return _row_cross(y, u).sum(axis=0), u.sum(axis=0)
 
 
 def correction_terms(
@@ -245,7 +258,7 @@ def correction_terms(
         raise ValueError(
             f"gains carry {gains.count} alpha values, observer tracks {state.count}"
         )
-    s_omega, s_v = _innovation_sums(state, frame, gains, e)
+    s_omega, s_v = _innovation_sums(state.r_hat.m, frame.y, gains, e)
     return -gains.k_w * s_omega, -gains.k_w * s_v
 
 
@@ -341,29 +354,49 @@ def observer_step(
             f"gains carry {gains.count} alpha values, observer tracks {state.count}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        e = landmark_errors(state, frame)
-        psi = gains.k_p * 0.25 * (1.0 + (e * e).sum(axis=1))
-        s_omega, s_v = _innovation_sums(state, frame, gains, e)
-        if scheme == "implicit":
-            s_omega, s_v = _implicit_sums(frame.y, gains, dt, s_omega, s_v)
+        r_new, *rest = _step_raw(
+            state.arrays(),
+            (frame.omega_m, frame.v_m, frame.y),
+            landmark_errors(state, frame),
+            gains,
+            dt,
+            implicit=scheme == "implicit",
+        )
+    return ObserverState(Rotation3._wrap(r_new), *rest)
 
-        w_omega = -gains.k_w * s_omega
-        w_v = -gains.k_w * s_v
-        omega_dt = (frame.omega_m - state.b_omega_hat - w_omega) * dt
-        vel_dt = (frame.v_m - state.b_v_hat - w_v) * dt
-        # The squared-angle check also catches finite twists whose square
-        # overflows inside the exponential.
-        if not (math.isfinite(float(omega_dt @ omega_dt)) and np.isfinite(vel_dt).all()):
-            raise DivergenceError("correction terms overflowed; reduce dt or the gains")
 
-        step_rot, step_pos = _se3_exp_raw(omega_dt, vel_dt)
-        rot = state.r_hat.m
-        r_new = Rotation3._wrap(_project_raw(rot @ step_rot))
-        p_new = rot @ step_pos + state.p_hat
-        landmarks_new = state.landmarks_hat - (dt * psi)[:, None] * e
-        b_omega_new = state.b_omega_hat - dt * (gains.gamma @ s_omega)
-        b_v_new = state.b_v_hat - dt * (gains.gamma @ s_v)
+def _step_raw(
+    estimate: tuple, measurement: tuple, e: np.ndarray, gains: GainConfig, dt: float, implicit: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """observer_step on raw arrays, given the errors e of this state and frame.
 
+    estimate is ObserverState.arrays(), measurement is (omega_m, v_m, y), and
+    the result is the estimate after the step. Inputs are not validated, and
+    the caller holds np.errstate so that an overflow surfaces as the
+    DivergenceError raised here, not as a warning.
+    """
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    omega_m, v_m, y = measurement
+    psi = gains.k_p * 0.25 * (1.0 + (e * e).sum(axis=1))
+    s_omega, s_v = _innovation_sums(r_hat, y, gains, e)
+    if implicit:
+        s_omega, s_v = _implicit_sums(y, gains, dt, s_omega, s_v)
+
+    w_omega = -gains.k_w * s_omega
+    w_v = -gains.k_w * s_v
+    omega_dt = (omega_m - b_omega_hat - w_omega) * dt
+    vel_dt = (v_m - b_v_hat - w_v) * dt
+    # The squared-angle check also catches finite twists whose square
+    # overflows inside the exponential.
+    if not (math.isfinite(float(omega_dt @ omega_dt)) and np.isfinite(vel_dt).all()):
+        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
+
+    step_rot, step_pos = _se3_exp_raw(omega_dt, vel_dt)
+    r_new = _project_raw(r_hat @ step_rot)
+    p_new = r_hat @ step_pos + p_hat
+    landmarks_new = landmarks_hat - (dt * psi)[:, None] * e
+    b_omega_new = b_omega_hat - dt * (gains.gamma @ s_omega)
+    b_v_new = b_v_hat - dt * (gains.gamma @ s_v)
     if not (
         np.isfinite(p_new).all()
         and np.isfinite(landmarks_new).all()
@@ -371,7 +404,7 @@ def observer_step(
         and np.isfinite(b_v_new).all()
     ):
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
-    return ObserverState(r_new, p_new, landmarks_new, b_omega_new, b_v_new)
+    return r_new, p_new, landmarks_new, b_omega_new, b_v_new
 
 
 def lyapunov_value(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,6 +28,13 @@ DEFAULT_DT = 0.001
 
 # Hard cap on duration / dt; anything above this is a configuration mistake.
 MAX_STEPS = 10 ** 8
+
+# The scatter matrix of the centered landmarks must have a second-largest
+# eigenvalue above this fraction of its largest (a landmark cloud at least
+# about 3e-5 as wide as it is long): the observer needs 3 landmarks that are
+# not collinear. The threshold sits far above the eigenvalues' rounding
+# error, about 1e-16 of the largest.
+COLLINEAR_RTOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -47,6 +55,8 @@ class TwistProfile:
         if not self.knots:
             raise ScenarioError("twist profile needs at least one knot")
         times = [k[0] for k in self.knots]
+        if not all(math.isfinite(t) for t in times):
+            raise ScenarioError(f"twist knot times must be finite, got {times}")
         if times[0] > 0.0:
             raise ScenarioError(f"first twist knot must start at t <= 0, got t = {times[0]}")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -81,10 +91,19 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        if not self.duration > 0.0:
-            raise ScenarioError(f"duration must be positive, got {self.duration!r}")
-        if not self.dt > 0.0:
-            raise ScenarioError(f"dt must be positive, got {self.dt!r}")
+        # The name becomes the CSV file name, so it must be a plain one.
+        if not (
+            isinstance(self.name, str)
+            and self.name not in ("", ".", "..")
+            and not any(c in self.name for c in "/\\\0")
+        ):
+            raise ScenarioError(
+                f"name must be a string usable as a file name, got {self.name!r}"
+            )
+        if not 0.0 < self.duration < math.inf:
+            raise ScenarioError(f"duration must be positive and finite, got {self.duration!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ScenarioError(f"dt must be positive and finite, got {self.dt!r}")
         if self.duration / self.dt > MAX_STEPS:
             raise ScenarioError(
                 f"duration / dt = {self.duration / self.dt:.3g} exceeds the "
@@ -98,16 +117,30 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"at least 3 landmarks are required for observability, got {n}"
             )
+        if not np.isfinite(lm).all():
+            raise ScenarioError("landmarks must be finite")
+        centered = lm - lm.mean(axis=0)
+        spread = np.linalg.eigvalsh(centered.T @ centered)
+        if not spread[1] > COLLINEAR_RTOL * spread[2]:
+            raise ScenarioError(
+                "landmarks must include 3 that are not collinear (coincident or "
+                "collinear landmarks leave the pose unobservable)"
+            )
         object.__setattr__(self, "landmarks", lm)
         if self.gains.count != n:
             raise ScenarioError(
                 f"gains carry {self.gains.count} alpha values for {n} landmarks"
             )
-        if self.initial_estimates.count != n:
+        est = self.initial_estimates
+        if est.count != n:
             raise ScenarioError(
-                f"initial estimates carry {self.initial_estimates.count} landmarks, "
-                f"scenario has {n}"
+                f"initial estimates carry {est.count} landmarks, scenario has {n}"
             )
+        if not all(
+            np.isfinite(a).all()
+            for a in (est.p_hat, est.landmarks_hat, est.b_omega_hat, est.b_v_hat)
+        ):
+            raise ScenarioError("initial estimates must be finite")
         if self.bias.landmark is not None and self.bias.landmark.shape != (n, 3):
             raise ScenarioError(
                 f"landmark bias shape {self.bias.landmark.shape} does not match "
@@ -178,31 +211,63 @@ def reference_scenario() -> ScenarioConfig:
 BUILTIN_SCENARIOS = {"paper-sec5": reference_scenario}
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _section(value, allowed: set[str], where: str) -> dict:
+    """value as a mapping that carries only the allowed keys."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(value).__name__}")
+    unknown = set(value) - allowed
     if unknown:
         raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_numeric(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_numeric(v) for v in value)
+    return _is_number(value)
+
+
+def _number(value, where: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{where} is out of range: {value!r}") from exc
+
+
+def _array(value, where: str) -> np.ndarray:
+    """A number or a regularly nested list of numbers, as a float array."""
+    if not _is_numeric(value):
+        raise ScenarioError(f"{where} must be a number or a list of numbers, got {value!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where} must be a regular array of numbers: {exc}") from exc
 
 
 def _vec3(value, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ScenarioError(f"{where} must be a 3-vector, got {value!r}")
+    arr = _array(value, where)
+    if arr.shape != (3,) or not np.isfinite(arr).all():
+        raise ScenarioError(f"{where} must be a finite 3-vector, got {value!r}")
     return arr
 
 
 def _twist(entry: dict, where: str) -> Twist:
-    _check_keys(entry, {"omega", "vel", "t"}, where)
+    _section(entry, {"omega", "vel", "t"}, where)
     if "omega" not in entry or "vel" not in entry:
         raise ScenarioError(f"{where} needs both 'omega' and 'vel'")
     return Twist(_vec3(entry["omega"], f"{where}.omega"), _vec3(entry["vel"], f"{where}.vel"))
 
 
 def _pose(entry: dict, where: str) -> Pose:
-    _check_keys(entry, {"rotation", "position"}, where)
     rotation = Rotation3.identity()
     if "rotation" in entry:
-        m = np.asarray(entry["rotation"], dtype=float)
+        m = _array(entry["rotation"], f"{where}.rotation")
         try:
             rotation = Rotation3(m)
         except ValueError as exc:
@@ -214,10 +279,13 @@ def _pose(entry: dict, where: str) -> Pose:
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
-    """Build a validated config from parsed scenario-file contents."""
+    """Build a validated config from parsed scenario-file contents.
+
+    Any input that does not describe a valid scenario raises ScenarioError.
+    """
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario must be a mapping, got {type(data).__name__}")
-    _check_keys(
+    _section(
         data,
         {
             "name",
@@ -249,23 +317,24 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         knots = []
         for i, entry in enumerate(schedule):
             where = f"twist_schedule[{i}]"
+            twist = _twist(entry, where)
             if "t" not in entry:
                 raise ScenarioError(f"{where} needs a start time 't'")
-            knots.append((float(entry["t"]), _twist(entry, where)))
+            knots.append((_number(entry["t"], f"{where}.t"), twist))
         profile = TwistProfile(tuple(knots))
 
-    landmarks = np.asarray(data["landmarks"], dtype=float)
+    landmarks = _array(data["landmarks"], "landmarks")
+    n = landmarks.shape[0] if landmarks.ndim == 2 else 0
 
     bias = SensorBias.zero()
     if "bias" in data:
-        section = data["bias"]
-        _check_keys(section, {"omega", "vel", "landmark"}, "bias")
+        section = _section(data["bias"], {"omega", "vel", "landmark"}, "bias")
         try:
             bias = SensorBias(
-                omega=_vec3(section.get("omega", np.zeros(3)), "bias.omega"),
-                vel=_vec3(section.get("vel", np.zeros(3)), "bias.vel"),
+                omega=_vec3(section["omega"], "bias.omega") if "omega" in section else np.zeros(3),
+                vel=_vec3(section["vel"], "bias.vel") if "vel" in section else np.zeros(3),
                 landmark=(
-                    np.asarray(section["landmark"], dtype=float)
+                    _array(section["landmark"], "bias.landmark")
                     if "landmark" in section
                     else None
                 ),
@@ -275,69 +344,74 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
 
     noise = NoiseSpec()
     if "noise" in data:
-        section = data["noise"]
-        _check_keys(section, {"sigma_omega", "sigma_v", "sigma_y", "seed"}, "noise")
+        section = _section(data["noise"], {"sigma_omega", "sigma_v", "sigma_y", "seed"}, "noise")
+        sigmas = {
+            key: _number(section[key], f"noise.{key}")
+            for key in ("sigma_omega", "sigma_v", "sigma_y")
+            if key in section
+        }
         try:
-            noise = NoiseSpec(
-                sigma_omega=section.get("sigma_omega", 0.0),
-                sigma_v=section.get("sigma_v", 0.0),
-                sigma_y=section.get("sigma_y", 0.0),
-                seed=section.get("seed", 0),
-            )
+            noise = NoiseSpec(**sigmas, seed=section.get("seed", 0))
         except ValueError as exc:
             raise ScenarioError(f"noise: {exc}") from exc
 
-    section = data["gains"]
-    _check_keys(section, {"k_p", "k_w", "gamma", "alpha"}, "gains")
+    section = _section(data["gains"], {"k_p", "k_w", "gamma", "alpha"}, "gains")
     for key in ("k_p", "k_w", "gamma", "alpha"):
         if key not in section:
             raise ScenarioError(f"gains is missing required field '{key}'")
-    alpha = np.asarray(section["alpha"], dtype=float)
+    alpha = _array(section["alpha"], "gains.alpha")
     if alpha.shape == ():
-        alpha = np.full(landmarks.shape[0] if landmarks.ndim == 2 else 0, float(alpha))
+        alpha = np.full(n, float(alpha))
     try:
         gains = GainConfig(
-            k_p=section["k_p"], k_w=section["k_w"], gamma=np.asarray(section["gamma"]),
+            k_p=_number(section["k_p"], "gains.k_p"),
+            k_w=_number(section["k_w"], "gains.k_w"),
+            gamma=_array(section["gamma"], "gains.gamma"),
             alpha=alpha,
         )
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
-    n = landmarks.shape[0] if landmarks.ndim == 2 else 0
     estimates = ObserverState.cold_start(max(n, 3))
     if "initial_estimates" in data:
-        section = data["initial_estimates"]
-        _check_keys(
-            section, {"rotation", "position", "landmarks", "b_omega", "b_v"}, "initial_estimates"
-        )
-        pose = _pose(
-            {k: section[k] for k in ("rotation", "position") if k in section},
+        section = _section(
+            data["initial_estimates"],
+            {"rotation", "position", "landmarks", "b_omega", "b_v"},
             "initial_estimates",
         )
+        pose = _pose(section, "initial_estimates")
+        zero = np.zeros(3)
         try:
             estimates = ObserverState(
                 r_hat=pose.rotation,
                 p_hat=pose.position,
                 landmarks_hat=(
-                    np.asarray(section["landmarks"], dtype=float)
+                    _array(section["landmarks"], "initial_estimates.landmarks")
                     if "landmarks" in section
                     else np.zeros((max(n, 3), 3))
                 ),
-                b_omega_hat=_vec3(section.get("b_omega", np.zeros(3)), "initial_estimates.b_omega"),
-                b_v_hat=_vec3(section.get("b_v", np.zeros(3)), "initial_estimates.b_v"),
+                b_omega_hat=(
+                    _vec3(section["b_omega"], "initial_estimates.b_omega")
+                    if "b_omega" in section
+                    else zero
+                ),
+                b_v_hat=(
+                    _vec3(section["b_v"], "initial_estimates.b_v") if "b_v" in section else zero
+                ),
             )
         except ValueError as exc:
             raise ScenarioError(f"initial_estimates: {exc}") from exc
 
     initial_pose = Pose.identity()
     if "initial_pose" in data:
-        initial_pose = _pose(data["initial_pose"], "initial_pose")
+        section = _section(data["initial_pose"], {"rotation", "position"}, "initial_pose")
+        initial_pose = _pose(section, "initial_pose")
 
     try:
         return ScenarioConfig(
-            name=str(data.get("name", name)),
-            duration=float(data["duration"]),
-            dt=float(data.get("dt", DEFAULT_DT)),
+            name=data.get("name", name),
+            duration=_number(data["duration"], "duration"),
+            dt=_number(data["dt"], "dt") if "dt" in data else DEFAULT_DT,
             twist_profile=profile,
             initial_pose=initial_pose,
             landmarks=landmarks,
@@ -365,6 +439,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         )
     try:
         data = json.loads(file_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"could not parse {file_path}: {exc}") from exc
     return scenario_from_dict(data, name=file_path.stem)

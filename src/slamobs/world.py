@@ -11,6 +11,8 @@ runs with their own state and generator may execute concurrently.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +60,16 @@ class SensorBias:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).reshape(3))
         object.__setattr__(self, "vel", np.asarray(self.vel, dtype=float).reshape(3))
+        if not (np.isfinite(self.omega).all() and np.isfinite(self.vel).all()):
+            raise ValueError("velocity biases must be finite")
         if self.landmark is not None:
             lm = np.asarray(self.landmark, dtype=float)
             if lm.ndim != 2 or lm.shape[1] != 3:
                 raise ValueError(
                     f"landmark bias must be an (n, 3) array, got shape {lm.shape}"
                 )
+            if not np.isfinite(lm).all():
+                raise ValueError("landmark bias must be finite")
             object.__setattr__(self, "landmark", lm)
 
     @staticmethod
@@ -88,9 +94,12 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         for name in ("sigma_omega", "sigma_v", "sigma_y"):
             value = float(getattr(self, name))
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
             object.__setattr__(self, name, value)
+        # An integral type only: int() would silently truncate a seed of 1.7.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         seed = int(self.seed)
         if seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -125,6 +134,18 @@ class SensorFrame:
         return self.y.shape[0]
 
 
+def _increment_raw(u: Twist, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation, translation) of holding the twist u constant over dt."""
+    return _se3_exp_raw(u.omega * dt, u.vel * dt)
+
+
+def _true_step_raw(
+    rot: np.ndarray, pos: np.ndarray, step_rot: np.ndarray, step_pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a pose increment to the true (rotation, position), re-projecting."""
+    return _project_raw(rot @ step_rot), rot @ step_pos + pos
+
+
 def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """Advance the true pose by the exact exponential of the twist over dt.
 
@@ -133,11 +154,35 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    step_rot, step_pos = _se3_exp_raw(u.omega * dt, u.vel * dt)
-    rot = state.pose.rotation.m
-    rotation = Rotation3._wrap(_project_raw(rot @ step_rot))
-    position = rot @ step_pos + state.pose.position
-    return TrueState(Pose(rotation, position), state.landmarks)
+    rot, pos = _true_step_raw(
+        state.pose.rotation.m, state.pose.position, *_increment_raw(u, dt)
+    )
+    return TrueState(Pose(Rotation3._wrap(rot), pos), state.landmarks)
+
+
+def _sense_raw(
+    rot: np.ndarray,
+    pos: np.ndarray,
+    landmarks: np.ndarray,
+    u: Twist,
+    bias: SensorBias,
+    noise: NoiseSpec,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega_m, v_m, y) measured at the true pose (rot, pos); see sense."""
+    omega_m = u.omega + bias.omega
+    if noise.sigma_omega > 0.0:
+        omega_m = omega_m + noise.sigma_omega * rng.standard_normal(3)
+    v_m = u.vel + bias.vel
+    if noise.sigma_v > 0.0:
+        v_m = v_m + noise.sigma_v * rng.standard_normal(3)
+
+    y = (landmarks - pos) @ rot
+    if bias.landmark is not None:
+        y = y + bias.landmark
+    if noise.sigma_y > 0.0:
+        y = y + noise.sigma_y * rng.standard_normal(y.shape)
+    return omega_m, v_m, y
 
 
 def sense(
@@ -155,22 +200,12 @@ def sense(
     in a fixed order (gyro, velocity, landmarks) and only for nonzero sigmas,
     so the generator advances deterministically.
     """
-    omega_m = u.omega + bias.omega
-    if noise.sigma_omega > 0.0:
-        omega_m = omega_m + noise.sigma_omega * rng.standard_normal(3)
-    v_m = u.vel + bias.vel
-    if noise.sigma_v > 0.0:
-        v_m = v_m + noise.sigma_v * rng.standard_normal(3)
-
-    rot = state.pose.rotation.m
-    y = (state.landmarks - state.pose.position) @ rot
-    if bias.landmark is not None:
-        if bias.landmark.shape != y.shape:
-            raise ValueError(
-                f"landmark bias shape {bias.landmark.shape} does not match "
-                f"landmark count {y.shape[0]}"
-            )
-        y = y + bias.landmark
-    if noise.sigma_y > 0.0:
-        y = y + noise.sigma_y * rng.standard_normal(y.shape)
+    if bias.landmark is not None and bias.landmark.shape != state.landmarks.shape:
+        raise ValueError(
+            f"landmark bias shape {bias.landmark.shape} does not match "
+            f"landmark count {state.count}"
+        )
+    omega_m, v_m, y = _sense_raw(
+        state.pose.rotation.m, state.pose.position, state.landmarks, u, bias, noise, rng
+    )
     return SensorFrame(omega_m, v_m, y, t)

@@ -53,6 +53,12 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "at least 3 landmarks" in capsys.readouterr().err
 
+    def test_non_mapping_section_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad-bias.json"
+        path.write_text(json.dumps(dict(COMPACT_FILE, bias=[3])), encoding="utf-8")
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert "bias must be a mapping" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_csv(self, scenario_file, tmp_path, capsys):
@@ -115,6 +121,22 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "aborted" in err and "step" in err
+
+    def test_non_finite_dt_in_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "inf-dt.json"
+        path.write_text(json.dumps(dict(COMPACT_FILE, dt=float("inf"))), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        code = main(["run", "--scenario", str(path), "--out", str(out_dir)])
+        assert code == 1
+        assert "dt must be positive and finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--dt", "--duration"])
+    def test_non_finite_override_exits_one(self, scenario_file, tmp_path, capsys, flag):
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                     flag, "nan"])
+        assert code == 1
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_bad_stride_exits_one(self, scenario_file, tmp_path, capsys):
         code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path),

@@ -9,14 +9,22 @@ import pytest
 from slamobs import (
     DivergenceError,
     NoiseSpec,
+    SensorBias,
+    TrueState,
+    Twist,
+    TwistProfile,
     compute_metrics,
     csv_header,
     fit_exponential_decay,
+    landmark_errors,
+    observer_step,
     reference_scenario,
     run,
+    sense,
     settling_time,
     sweep,
     trajectory,
+    true_step,
     write_csv,
 )
 
@@ -34,6 +42,84 @@ def far_landmark_reference(**overrides):
     config = reference_scenario().with_overrides(**overrides)
     estimates = replace(config.initial_estimates, landmarks_hat=np.full((4, 3), 100.0))
     return replace(config, initial_estimates=estimates)
+
+
+def noisy_knotted_scenario():
+    """Compact scenario with noise on every channel, a landmark bias and a
+    3-knot twist schedule; the second knot starts on the step grid, the third
+    between two steps."""
+    base = make_compact_scenario(
+        duration=0.3, noise=NoiseSpec(sigma_omega=0.02, sigma_v=0.01, sigma_y=0.005, seed=11)
+    )
+    knots = (
+        (0.0, Twist(np.array([0.05, -0.04, 0.3]), np.array([0.4, 0.1, 0.05]))),
+        (0.1, Twist(np.array([0.2, 0.1, -0.3]), np.array([0.1, 0.4, 0.0]))),
+        (0.1805, Twist(np.array([-0.1, 0.3, 0.2]), np.array([0.3, -0.2, 0.1]))),
+    )
+    bias = SensorBias(base.bias.omega, base.bias.vel, np.linspace(-0.01, 0.01, 12).reshape(4, 3))
+    return replace(base, twist_profile=TwistProfile(knots), bias=bias)
+
+
+def record_bits(rec):
+    return (
+        rec.t,
+        rec.e_norm.tobytes(),
+        rec.p_err.tobytes(),
+        rec.r_tilde_dist,
+        rec.p_tilde_norm,
+        rec.b_omega_tilde_norm,
+        rec.b_v_tilde_norm,
+        rec.lyapunov,
+    )
+
+
+class TestSharedLoop:
+    def test_run_equals_metrics_over_trajectory(self):
+        config = noisy_knotted_scenario()
+        stride = 7
+        steps = config.step_count
+        assert steps % stride != 0  # the final record is off the stride
+        expected = [
+            record_bits(compute_metrics(snap, config))
+            for snap in trajectory(config)
+            if snap.k % stride == 0 or snap.k == steps
+        ]
+        assert [record_bits(r) for r in run(config, stride=stride)] == expected
+
+    def test_truth_matches_chained_true_step_across_knots(self):
+        config = noisy_knotted_scenario()
+        truth = TrueState(config.initial_pose, config.landmarks)
+        twists = set()
+        for snap in trajectory(config):
+            assert snap.truth.pose.rotation.m.tobytes() == truth.pose.rotation.m.tobytes()
+            assert snap.truth.pose.position.tobytes() == truth.pose.position.tobytes()
+            twist = config.twist_profile.at(snap.t)
+            twists.add(id(twist))
+            truth = true_step(truth, twist, config.dt)
+        assert len(twists) == 3
+
+    def test_public_step_functions_reproduce_trajectory(self):
+        config = noisy_knotted_scenario()
+        truth = TrueState(config.initial_pose, config.landmarks)
+        state = config.initial_estimates
+        rng = config.noise.make_rng()
+        for snap in trajectory(config):
+            twist = config.twist_profile.at(snap.t)
+            frame = sense(truth, config.bias, config.noise, twist, rng, snap.t)
+            for a, b in (
+                (snap.frame.y, frame.y),
+                (snap.frame.omega_m, frame.omega_m),
+                (snap.frame.v_m, frame.v_m),
+                (snap.state.r_hat.m, state.r_hat.m),
+                (snap.state.p_hat, state.p_hat),
+                (snap.state.landmarks_hat, state.landmarks_hat),
+                (snap.state.b_omega_hat, state.b_omega_hat),
+                (snap.state.b_v_hat, state.b_v_hat),
+                (snap.e, landmark_errors(state, frame)),
+            ):
+                assert a.tobytes() == b.tobytes()
+            state = observer_step(state, frame, config.gains, config.dt, scheme="implicit")
+            truth = true_step(truth, twist, config.dt)
 
 
 class TestRunLoop:

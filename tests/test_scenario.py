@@ -1,9 +1,13 @@
 """Scenario files: parsing, defaults, validation messages, the built-in."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slamobs import (
     ScenarioError,
@@ -223,6 +227,204 @@ class TestValidation:
         data = dict(MINIMAL, initial_estimates={"rotation": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]})
         with pytest.raises(ScenarioError, match="rotation"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["dt", "duration"])
+    def test_non_finite_step_or_duration(self, key, value):
+        with pytest.raises(ScenarioError, match=f"{key} must be positive and finite"):
+            scenario_from_dict(dict(MINIMAL, **{key: value}))
+
+    def test_infinite_dt_from_file(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(dict(MINIMAL, dt=math.inf)), encoding="utf-8")
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        with pytest.raises(ScenarioError, match="dt"):
+            load_scenario(path)
+
+    def test_non_finite_knot_time(self):
+        data = dict(MINIMAL)
+        del data["twist"]
+        data["twist_schedule"] = [
+            {"t": 0.0, "omega": [0, 0, 0], "vel": [0, 0, 0]},
+            {"t": math.nan, "omega": [0, 0, 1], "vel": [0, 0, 0]},
+        ]
+        with pytest.raises(ScenarioError, match="finite"):
+            scenario_from_dict(data)
+
+    def test_non_mapping_knot(self):
+        data = dict(MINIMAL)
+        del data["twist"]
+        data["twist_schedule"] = [[3]]
+        with pytest.raises(ScenarioError, match=r"twist_schedule\[0\] must be a mapping"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section", ["twist", "bias", "noise", "gains", "initial_pose", "initial_estimates"]
+    )
+    @pytest.mark.parametrize("value", [[3], 3, "x", None])
+    def test_non_mapping_section(self, section, value):
+        with pytest.raises(ScenarioError, match=f"{section} must be a mapping"):
+            scenario_from_dict(dict(MINIMAL, **{section: value}))
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, "3", True, None])
+    def test_non_integral_seed(self, seed):
+        with pytest.raises(ScenarioError, match="noise: seed must be a nonnegative integer"):
+            scenario_from_dict(dict(MINIMAL, noise={"seed": seed}))
+
+    @pytest.mark.parametrize("name", [{"a": 1}, 7, None, ["a"]])
+    def test_non_string_name(self, name):
+        with pytest.raises(ScenarioError, match="name must be a string"):
+            scenario_from_dict(dict(MINIMAL, name=name))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a\0b"])
+    def test_name_that_is_no_file_name(self, name):
+        with pytest.raises(ScenarioError, match="usable as a file name"):
+            scenario_from_dict(dict(MINIMAL, name=name))
+
+    @pytest.mark.parametrize(
+        "landmarks",
+        [
+            [[1.0, 2.0, 3.0]] * 3,
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [-5.0, -5.0, -5.0]],
+            [[0.0, 0.0, 0.0], [1e6, 0.0, 0.0], [2e6, 1e-6, 0.0]],
+        ],
+        ids=["coincident", "collinear", "nearly-collinear"],
+    )
+    def test_degenerate_landmarks(self, landmarks):
+        with pytest.raises(ScenarioError, match="not collinear"):
+            scenario_from_dict(dict(MINIMAL, landmarks=landmarks))
+
+    def test_non_numeric_landmarks(self):
+        with pytest.raises(ScenarioError, match="landmarks must be a number"):
+            scenario_from_dict(dict(MINIMAL, landmarks=[[1, "a", 0]] * 3))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "landmarks", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.inf]]),
+            ("twist", "omega", [0.0, math.nan, 0.0]),
+            ("initial_pose", "position", [0.0, 0.0, math.inf]),
+            ("bias", "vel", [math.inf, 0.0, 0.0]),
+            ("bias", "landmark", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, math.nan, 0.0]]),
+            ("noise", "sigma_y", math.inf),
+            ("gains", "k_w", math.inf),
+            ("gains", "gamma", [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("gains", "alpha", [0.1, math.inf, 0.1]),
+            ("initial_estimates", "landmarks", [[0.0, 0.0, math.inf]] * 3),
+            ("initial_estimates", "b_omega", [0.0, -math.inf, 0.0]),
+        ],
+    )
+    def test_non_finite_value(self, section, key, value):
+        # Checked once at load, so the run loop never meets a non-finite input.
+        if section is None:
+            data = dict(MINIMAL, **{key: value})
+        else:
+            data = dict(MINIMAL, **{section: dict(MINIMAL.get(section, {}), **{key: value})})
+        with pytest.raises(ScenarioError, match="finite"):
+            scenario_from_dict(data)
+
+
+# A valid file that sets every field; the property test below edits it.
+FULL = {
+    "name": "full",
+    "duration": 1.0,
+    "dt": 0.01,
+    "twist_schedule": [
+        {"t": 0.0, "omega": [0.0, 0.0, 0.3], "vel": [1.0, 0.0, 0.0]},
+        {"t": 0.5, "omega": [0.1, 0.0, 0.2], "vel": [0.5, 0.5, 0.0]},
+    ],
+    "initial_pose": {
+        "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "position": [0.0, 0.0, 1.0],
+    },
+    "landmarks": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "bias": {"omega": [0.01, 0.0, 0.0], "vel": [0.0, 0.02, 0.0], "landmark": [[0.0] * 3] * 3},
+    "noise": {"sigma_omega": 0.0, "sigma_v": 0.0, "sigma_y": 0.05, "seed": 3},
+    "gains": {"k_p": 1.0, "k_w": 2.0, "gamma": 30.0, "alpha": 0.1},
+    "initial_estimates": {
+        "position": [0.1, 0.0, 0.0],
+        "landmarks": [[0.0] * 3] * 3,
+        "b_omega": [0.0, 0.0, 0.0],
+        "b_v": [0.0, 0.0, 0.0],
+    },
+}
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+# Every location in FULL, plus keys that FULL does not set.
+EDIT_PATHS = list(_paths(FULL)) + [("twist",), ("wind",)]
+
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_number = st.floats() | st.integers(-3, 3)
+# Small integer grids make coincident and collinear landmark sets common.
+_points = st.lists(
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=3, max_size=3), min_size=2, max_size=5
+)
+_values = _json | _number | st.lists(_number, min_size=3, max_size=3) | _points
+
+
+@st.composite
+def edited_scenarios(draw):
+    """FULL with one to three locations replaced by JSON-like values or deleted."""
+    data = copy.deepcopy(FULL)
+    for path in draw(st.lists(st.sampled_from(EDIT_PATHS), min_size=1, max_size=3)):
+        parent = data
+        for key in path[:-1]:
+            inside = isinstance(parent, dict) and key in parent
+            inside = inside or (isinstance(parent, list) and key < len(parent))
+            if not inside:
+                break
+            parent = parent[key]
+        else:
+            key = path[-1]
+            if isinstance(parent, dict) and key in parent and draw(st.integers(0, 4)) == 0:
+                del parent[key]
+            elif isinstance(parent, dict) or (isinstance(parent, list) and key < len(parent)):
+                parent[key] = draw(_values)
+    return data
+
+
+class TestLoadingProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edited_scenarios())
+    def test_loads_or_raises_scenario_error(self, data):
+        try:
+            config = scenario_from_dict(data)
+        except ScenarioError:
+            return
+        assert isinstance(config.name, str)
+        assert math.isfinite(config.dt) and math.isfinite(config.duration)
+        assert type(config.noise.seed) is int
+        for values in (
+            config.landmarks,
+            config.bias.omega,
+            config.bias.vel,
+            config.gains.gamma,
+            config.gains.alpha,
+            *config.initial_estimates.arrays(),
+            [config.noise.sigma_omega, config.noise.sigma_v, config.noise.sigma_y],
+            [config.gains.k_p, config.gains.k_w],
+        ):
+            assert np.isfinite(values).all()
+        centered = config.landmarks - config.landmarks.mean(axis=0)
+        assert np.linalg.matrix_rank(centered) >= 2
+
+    def test_unedited_file_loads(self):
+        assert scenario_from_dict(copy.deepcopy(FULL)).count == 3
 
 
 class TestTwistProfile:
