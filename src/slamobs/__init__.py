@@ -15,7 +15,6 @@ from .geometry import (
     se3_exp,
     so3_exp,
     vee3,
-    wedge6,
 )
 from .harness import (
     MetricsRecord,
@@ -41,7 +40,6 @@ from .observer import (
     bias_error,
     correction_terms,
     error_geometry,
-    landmark_error,
     landmark_errors,
     lyapunov_value,
     observer_step,
@@ -87,7 +85,6 @@ __all__ = [
     "error_geometry",
     "fit_exponential_decay",
     "hat3",
-    "landmark_error",
     "landmark_errors",
     "load_scenario",
     "lyapunov_value",
@@ -106,7 +103,6 @@ __all__ = [
     "trajectory",
     "true_step",
     "vee3",
-    "wedge6",
     "write_csv",
 ]
 

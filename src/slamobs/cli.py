@@ -69,13 +69,14 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.scenario).with_overrides(
         dt=args.dt, duration=args.duration, seed=args.seed
     )
-    if args.stride < 1:
-        raise ValueError(f"stride must be >= 1, got {args.stride}")
     records = run(config, stride=args.stride)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{config.name}.csv"
-    write_csv(records, config.count, path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(records, config.count, path)
+    except OSError as exc:
+        raise ValueError(f"could not write {path}: {exc}") from exc
     last = records[-1]
     print(f"wrote {path} ({len(records)} rows)")
     print(

@@ -1,6 +1,6 @@
 """Small-matrix geometry for rotations and rigid-body poses.
 
-Hat/vee/wedge maps between vectors and their matrix Lie algebras, closed-form
+Hat/vee maps between 3-vectors and skew-symmetric matrices, closed-form
 exponential maps (Rodrigues plus the left Jacobian for the translation part),
 the normalized rotation distance, and a polar re-orthonormalization used to
 repair drift after long chains of products.
@@ -43,7 +43,9 @@ def _trusted(cls, **fields):
     """An instance of the frozen dataclass cls with its validation skipped.
 
     Only for values derived from already-validated inputs by code that keeps
-    the invariants __post_init__ would check (the harness step loop).
+    the invariants __post_init__ would check: rotations orthonormal by
+    construction (closed-form exponentials, polar projections, rotation
+    products) and the harness step loop.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -70,39 +72,24 @@ class Rotation3:
         if m.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {m.shape}")
         object.__setattr__(self, "m", m)
-        err = np.linalg.norm(m @ m.T - _EYE3)
+        # Entries near the float limit overflow the product; the resulting
+        # inf or NaN residual fails the check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.linalg.norm(m @ m.T - _EYE3)
         if not err <= ROTATION_TOL:
             raise ValueError(f"matrix is not orthonormal: ||R R^T - I||_F = {err:.3e}")
         det = _det3(m)
         if not abs(det - 1.0) <= ROTATION_TOL:
             raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
 
-    @classmethod
-    def _wrap(cls, m: np.ndarray) -> "Rotation3":
-        # Bypasses validation for matrices orthonormal by construction
-        # (closed-form exponentials, polar projections, rotation products).
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "m", m)
-        return obj
-
     @staticmethod
     def identity() -> "Rotation3":
         return Rotation3(np.eye(3))
 
-    def inverse(self) -> "Rotation3":
-        return Rotation3(self.m.T.copy())
-
-    def apply(self, v) -> np.ndarray:
-        """Rotate a 3-vector (or row-stacked (n, 3) array) into the parent frame."""
-        a = np.asarray(v, dtype=float)
-        if a.ndim == 1:
-            return self.m @ a
-        return a @ self.m.T
-
 
 @dataclass(frozen=True)
 class Twist:
-    """Body-frame velocity: angular rate (rad/s) stacked over translational (m/s)."""
+    """Body-frame velocity: angular rate (rad/s) and translational velocity (m/s)."""
 
     omega: np.ndarray
     vel: np.ndarray
@@ -114,12 +101,6 @@ class Twist:
     @staticmethod
     def zero() -> "Twist":
         return Twist(np.zeros(3), np.zeros(3))
-
-    def negated(self) -> "Twist":
-        return Twist(-self.omega, -self.vel)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.vel])
 
 
 @dataclass(frozen=True)
@@ -150,21 +131,20 @@ class Pose:
         p = self.rotation.m @ other.position + self.position
         return Pose(r, p)
 
-    def apply(self, point) -> np.ndarray:
-        """Map a point (or row-stacked points) through the transform."""
-        return self.rotation.apply(point) + self.position
+
+def _hat_raw(v: np.ndarray) -> np.ndarray:
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
 
 
 def hat3(v) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, so that hat3(a) @ b == cross(a, b)."""
-    a = _as_vec3(v, "v")
-    return np.array(
-        [
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ]
-    )
+    return _hat_raw(_as_vec3(v, "v"))
 
 
 def vee3(s) -> np.ndarray:
@@ -176,24 +156,6 @@ def vee3(s) -> np.ndarray:
     if not sym <= SKEW_TOL:
         raise ValueError(f"matrix is not antisymmetric: max |S + S^T| = {sym:.3e}")
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def wedge6(u: Twist) -> np.ndarray:
-    """Embed a twist into a 4x4 matrix: skew block, velocity column, zero bottom row."""
-    w = np.zeros((4, 4))
-    w[:3, :3] = hat3(u.omega)
-    w[:3, 3] = u.vel
-    return w
-
-
-def _hat_raw(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
 
 
 def _exp_coefficients(theta_sq: float) -> tuple[float, float, float]:
@@ -210,12 +172,6 @@ def _exp_coefficients(theta_sq: float) -> tuple[float, float, float]:
     return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
 
 
-def _so3_exp_raw(w: np.ndarray) -> np.ndarray:
-    a, b, _ = _exp_coefficients(float(w @ w))
-    k = _hat_raw(w)
-    return _EYE3 + a * k + b * (k @ k)
-
-
 def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rotation, translation) of the rigid exponential, no validation."""
     a, b, c = _exp_coefficients(float(omega_dt @ omega_dt))
@@ -229,15 +185,15 @@ def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, 
 def so3_exp(omega_dt) -> Rotation3:
     """Rotation by the angle-axis vector omega_dt (Rodrigues formula)."""
     w = _as_vec3(omega_dt, "omega_dt")
-    return Rotation3(_so3_exp_raw(w))
+    return Rotation3(_se3_exp_raw(w, np.zeros(3))[0])
 
 
 def se3_exp(u: Twist, dt: float) -> Pose:
     """Pose increment from holding the twist u constant over dt seconds.
 
-    Equals the matrix exponential of wedge6(u) * dt: the rotation part is
-    so3_exp(u.omega * dt) and the translation part is the left Jacobian of the
-    rotation applied to u.vel * dt.
+    Equals the matrix exponential of the twist's 4x4 matrix times dt: the
+    rotation part is so3_exp(u.omega * dt) and the translation part is the
+    left Jacobian of the rotation applied to u.vel * dt.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")

@@ -44,16 +44,18 @@ from .world import SensorFrame, TrueState, _increment_raw, _sense_raw, _true_ste
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
 
-SWEEP_AXES = (
-    "k_p",
-    "k_w",
-    "gamma_scale",
-    "alpha_scale",
-    "sigma_omega",
-    "sigma_v",
-    "sigma_y",
-    "dt",
-)
+# Sweep axis name -> the config with that parameter set to (or, for the
+# *_scale axes, scaled by) a value.
+SWEEP_AXES = {
+    "k_p": lambda c, v: replace(c, gains=replace(c.gains, k_p=v)),
+    "k_w": lambda c, v: replace(c, gains=replace(c.gains, k_w=v)),
+    "gamma_scale": lambda c, v: replace(c, gains=replace(c.gains, gamma=c.gains.gamma * v)),
+    "alpha_scale": lambda c, v: replace(c, gains=replace(c.gains, alpha=c.gains.alpha * v)),
+    "sigma_omega": lambda c, v: replace(c, noise=replace(c.noise, sigma_omega=v)),
+    "sigma_v": lambda c, v: replace(c, noise=replace(c.noise, sigma_v=v)),
+    "sigma_y": lambda c, v: replace(c, noise=replace(c.noise, sigma_y=v)),
+    "dt": lambda c, v: replace(c, dt=v),
+}
 
 
 @dataclass(frozen=True)
@@ -139,14 +141,14 @@ def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> 
     """
     (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) = truth, estimate
     omega_m, v_m, y = measurement
-    pose = _trusted(Pose, rotation=Rotation3._wrap(rot), position=pos)
+    pose = _trusted(Pose, rotation=_trusted(Rotation3, m=rot), position=pos)
     return StepSnapshot(
         k,
         t,
         _trusted(TrueState, pose=pose, landmarks=config.landmarks),
         _trusted(
             ObserverState,
-            r_hat=Rotation3._wrap(r_hat),
+            r_hat=_trusted(Rotation3, m=r_hat),
             p_hat=p_hat,
             landmarks_hat=landmarks_hat,
             b_omega_hat=b_omega_hat,
@@ -308,26 +310,6 @@ class SweepResult:
     aborted_step: int | None = None
 
 
-def _apply_axis(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    if axis == "k_p":
-        gains = replace(config.gains, k_p=value)
-        return replace(config, gains=gains)
-    if axis == "k_w":
-        gains = replace(config.gains, k_w=value)
-        return replace(config, gains=gains)
-    if axis == "gamma_scale":
-        gains = replace(config.gains, gamma=config.gains.gamma * value)
-        return replace(config, gains=gains)
-    if axis == "alpha_scale":
-        gains = replace(config.gains, alpha=config.gains.alpha * value)
-        return replace(config, gains=gains)
-    if axis in ("sigma_omega", "sigma_v", "sigma_y"):
-        return replace(config, noise=replace(config.noise, **{axis: value}))
-    if axis == "dt":
-        return replace(config, dt=value)
-    raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
-
-
 def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
     """Run the base scenario once per value of the chosen parameter.
 
@@ -340,7 +322,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
     results = []
     for value in values:
-        config = _apply_axis(base, axis, float(value))
+        config = SWEEP_AXES[axis](base, float(value))
         try:
             records = run(config)
         except DivergenceError as exc:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, _project_raw, _se3_exp_raw, hat3
+from .geometry import Rotation3, _project_raw, _se3_exp_raw, _trusted, hat3
 from .world import SensorBias, SensorFrame, TrueState
 
 _EYE3 = np.eye(3)
@@ -85,10 +85,6 @@ class ObserverState:
     def arrays(self) -> tuple[np.ndarray, ...]:
         """(R_hat matrix, P_hat, landmarks_hat, b_omega_hat, b_v_hat)."""
         return self.r_hat.m, self.p_hat, self.landmarks_hat, self.b_omega_hat, self.b_v_hat
-
-    @property
-    def pose_hat(self) -> Pose:
-        return Pose(self.r_hat, self.p_hat)
 
     @staticmethod
     def cold_start(n: int) -> "ObserverState":
@@ -170,15 +166,17 @@ class PoseError:
     p_tilde: np.ndarray
 
 
-def adaptation_gain(e, k_p: float) -> float:
+def adaptation_gain(e, k_p: float) -> float | np.ndarray:
     """Closed form of the fast-adaptation gain: k_p (1 + ||e||^2) / 4.
 
     Identical to k_p / (1 + trace(r_e)) from the angle-axis construction (see
     error_geometry) but free of trigonometry, so the stepping hot path uses
     this form. Equals k_p / 4 exactly at e = 0 and grows without bound.
+    e is one error, giving one gain, or an (n, 3) array of errors, giving
+    one gain per row.
     """
     a = np.asarray(e, dtype=float)
-    return k_p * 0.25 * (1.0 + float(a @ a))
+    return k_p * 0.25 * (1.0 + (a * a).sum(axis=-1))
 
 
 def error_geometry(e, k_p: float) -> LandmarkError:
@@ -203,14 +201,6 @@ def error_geometry(e, k_p: float) -> LandmarkError:
     denom = 1.0 + float(np.trace(r_e))
     psi = math.inf if denom <= 0.0 else k_p / denom
     return LandmarkError(a, theta, axis, Rotation3(r_e), psi)
-
-
-def landmark_error(state: ObserverState, y_i, i: int) -> np.ndarray:
-    """Measurable error of landmark i: p_hat_i - (R_hat y_i + P_hat)."""
-    if not 0 <= i < state.count:
-        raise IndexError(f"landmark index {i} out of range for {state.count} landmarks")
-    y = np.asarray(y_i, dtype=float).reshape(3)
-    return state.landmarks_hat[i] - (state.r_hat.m @ y + state.p_hat)
 
 
 def landmark_errors(state: ObserverState, frame: SensorFrame) -> np.ndarray:
@@ -362,7 +352,7 @@ def observer_step(
             dt,
             implicit=scheme == "implicit",
         )
-    return ObserverState(Rotation3._wrap(r_new), *rest)
+    return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
 def _step_raw(
@@ -377,7 +367,7 @@ def _step_raw(
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, y = measurement
-    psi = gains.k_p * 0.25 * (1.0 + (e * e).sum(axis=1))
+    psi = adaptation_gain(e, gains.k_p)
     s_omega, s_v = _innovation_sums(r_hat, y, gains, e)
     if implicit:
         s_omega, s_v = _implicit_sums(y, gains, dt, s_omega, s_v)
@@ -434,6 +424,6 @@ def bias_error(state: ObserverState, true_bias: SensorBias) -> BiasError:
 
 def pose_error(state: ObserverState, truth: TrueState) -> PoseError:
     """Truth-aware pose error; constant in the limit of a converged run."""
-    r_tilde = Rotation3._wrap(state.r_hat.m @ truth.pose.rotation.m.T)
+    r_tilde = _trusted(Rotation3, m=state.r_hat.m @ truth.pose.rotation.m.T)
     p_tilde = state.p_hat - r_tilde.m @ truth.pose.position
     return PoseError(r_tilde, p_tilde)

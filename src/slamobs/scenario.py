@@ -225,9 +225,11 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _is_numeric(value) -> bool:
+def _is_numeric(value, depth: int = 2) -> bool:
+    """value is a number or a list of numbers nested at most depth deep; no
+    scenario field is more than 2-D."""
     if isinstance(value, list):
-        return all(_is_numeric(v) for v in value)
+        return depth > 0 and all(_is_numeric(v, depth - 1) for v in value)
     return _is_number(value)
 
 
@@ -437,8 +439,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             f"scenario '{key}' is neither a built-in name "
             f"({', '.join(sorted(BUILTIN_SCENARIOS))}) nor an existing file"
         )
+    # OSError: not a readable file (a directory, say); ValueError: bad UTF-8
+    # or JSON; RecursionError: JSON nested too deeply for the parser.
     try:
         data = json.loads(file_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"could not parse {file_path}: {exc}") from exc
     return scenario_from_dict(data, name=file_path.stem)

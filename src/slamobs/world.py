@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, Twist, _project_raw, _se3_exp_raw
+from .geometry import Pose, Rotation3, Twist, _project_raw, _se3_exp_raw, _trusted
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     rot, pos = _true_step_raw(
         state.pose.rotation.m, state.pose.position, *_increment_raw(u, dt)
     )
-    return TrueState(Pose(Rotation3._wrap(rot), pos), state.landmarks)
+    return TrueState(Pose(_trusted(Rotation3, m=rot), pos), state.landmarks)
 
 
 def _sense_raw(

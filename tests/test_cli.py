@@ -59,6 +59,34 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "bias must be a mapping" in capsys.readouterr().err
 
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", str(tmp_path)]) == 1
+        assert "error: could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "could not parse"),
+            (
+                json.dumps(dict(COMPACT_FILE, landmarks="@")).replace(
+                    '"@"', "[" * 900 + "1.0" + "]" * 900
+                ),
+                "landmarks must be a number",
+            ),
+            (
+                json.dumps(dict(COMPACT_FILE, initial_pose={"rotation": [[1e308] * 3] * 3})),
+                "not orthonormal",
+            ),
+        ],
+        ids=["nested-100000", "landmarks-nested-900", "rotation-1e308"],
+    )
+    def test_hostile_file_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestRun:
     def test_writes_csv(self, scenario_file, tmp_path, capsys):
@@ -143,6 +171,13 @@ class TestRun:
                      "--stride", "0"])
         assert code == 1
         assert "stride" in capsys.readouterr().err
+
+    def test_out_is_existing_file_exits_one(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        assert code == 1
+        assert "error: could not write" in capsys.readouterr().err
 
 
 class TestSweep:

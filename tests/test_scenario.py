@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ class TestValidation:
     def test_degenerate_landmarks(self, landmarks):
         with pytest.raises(ScenarioError, match="not collinear"):
             scenario_from_dict(dict(MINIMAL, landmarks=landmarks))
+
+    def test_overflowing_rotation_entry(self):
+        data = dict(MINIMAL, initial_pose={"rotation": [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="not orthonormal"):
+                scenario_from_dict(data)
 
     def test_non_numeric_landmarks(self):
         with pytest.raises(ScenarioError, match="landmarks must be a number"):
