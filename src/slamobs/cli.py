@@ -69,11 +69,15 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.scenario).with_overrides(
         dt=args.dt, duration=args.duration, seed=args.seed
     )
-    records = run(config, stride=args.stride)
     out_dir = Path(args.out)
     path = out_dir / f"{config.name}.csv"
+    # Before the run, so that an unusable --out fails without simulating.
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"could not write {path}: {exc}") from exc
+    records = run(config, stride=args.stride)
+    try:
         write_csv(records, config.count, path)
     except OSError as exc:
         raise ValueError(f"could not write {path}: {exc}") from exc

@@ -39,6 +39,15 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return a
 
 
+def _as_rows3(v, name: str) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"{name} must be an (n, 3) array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass cls with its validation skipped.
 

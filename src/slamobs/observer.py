@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Rotation3, _project_raw, _se3_exp_raw, _trusted, hat3
-from .world import SensorBias, SensorFrame, TrueState
+from .geometry import Rotation3, _as_vec3, _project_raw, _se3_exp_raw, _trusted, hat3
+from .world import SensorBias, SensorFrame, TrueState, _as_landmarks
 
 _EYE3 = np.eye(3)
 
@@ -64,19 +64,12 @@ class ObserverState:
     b_v_hat: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_hat", np.asarray(self.p_hat, dtype=float).reshape(3))
-        lm = np.asarray(self.landmarks_hat, dtype=float)
-        if lm.ndim != 2 or lm.shape[1] != 3:
-            raise ValueError(f"landmarks_hat must be (n, 3), got shape {lm.shape}")
-        if lm.shape[0] < 3:
-            raise ValueError(
-                f"at least 3 landmark estimates are required, got {lm.shape[0]}"
-            )
-        object.__setattr__(self, "landmarks_hat", lm)
+        object.__setattr__(self, "p_hat", _as_vec3(self.p_hat, "p_hat"))
         object.__setattr__(
-            self, "b_omega_hat", np.asarray(self.b_omega_hat, dtype=float).reshape(3)
+            self, "landmarks_hat", _as_landmarks(self.landmarks_hat, "landmarks_hat")
         )
-        object.__setattr__(self, "b_v_hat", np.asarray(self.b_v_hat, dtype=float).reshape(3))
+        object.__setattr__(self, "b_omega_hat", _as_vec3(self.b_omega_hat, "b_omega_hat"))
+        object.__setattr__(self, "b_v_hat", _as_vec3(self.b_v_hat, "b_v_hat"))
 
     @property
     def count(self) -> int:
@@ -112,7 +105,8 @@ class GainConfig:
             object.__setattr__(self, name, value)
         g = np.asarray(self.gamma, dtype=float)
         if g.shape == ():
-            g = float(g) * np.eye(3)
+            # Not g * I: an infinite g times the zero off-diagonals would warn.
+            g = np.diag(np.full(3, float(g)))
         if g.shape != (3, 3):
             raise ValueError(f"gamma must be a scalar or 3x3 matrix, got shape {g.shape}")
         if not np.isfinite(g).all():

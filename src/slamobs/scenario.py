@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .geometry import Pose, Rotation3, Twist
 from .observer import GainConfig, ObserverState
-from .world import NoiseSpec, SensorBias
+from .world import NoiseSpec, SensorBias, _as_landmarks
 
 DEFAULT_DT = 0.001
 
@@ -32,9 +33,16 @@ MAX_STEPS = 10 ** 8
 # The scatter matrix of the centered landmarks must have a second-largest
 # eigenvalue above this fraction of its largest (a landmark cloud at least
 # about 3e-5 as wide as it is long): the observer needs 3 landmarks that are
-# not collinear. The threshold sits far above the eigenvalues' rounding
+# not collinear. The rule is a ratio and so does not depend on the scale of
+# the landmarks. The threshold sits far above the eigenvalues' rounding
 # error, about 1e-16 of the largest.
 COLLINEAR_RTOL = 1e-9
+
+# Bounded repr for echoing file values in messages. No field is more than
+# 2-D, so two levels of nesting show any valid shape; deeper lists, long
+# lists, long strings and huge integers are elided.
+_short = reprlib.Repr()
+_short.maxlevel = 2
 
 
 class ScenarioError(ValueError):
@@ -98,7 +106,7 @@ class ScenarioConfig:
             and not any(c in self.name for c in "/\\\0")
         ):
             raise ScenarioError(
-                f"name must be a string usable as a file name, got {self.name!r}"
+                f"name must be a string usable as a file name, got {_short.repr(self.name)}"
             )
         if not 0.0 < self.duration < math.inf:
             raise ScenarioError(f"duration must be positive and finite, got {self.duration!r}")
@@ -109,17 +117,17 @@ class ScenarioConfig:
                 f"duration / dt = {self.duration / self.dt:.3g} exceeds the "
                 f"step cap of {MAX_STEPS:g}"
             )
-        lm = np.asarray(self.landmarks, dtype=float)
-        if lm.ndim != 2 or lm.shape[1] != 3:
-            raise ScenarioError(f"landmarks must be an (n, 3) array, got shape {lm.shape}")
+        try:
+            lm = _as_landmarks(self.landmarks)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         n = lm.shape[0]
-        if n < 3:
-            raise ScenarioError(
-                f"at least 3 landmarks are required for observability, got {n}"
-            )
-        if not np.isfinite(lm).all():
-            raise ScenarioError("landmarks must be finite")
-        centered = lm - lm.mean(axis=0)
+        # Scaled to a largest coordinate of 1 first, so that neither the
+        # centroid nor the scatter overflows or underflows; all-zero
+        # landmarks stay zero and are rejected as coincident.
+        top = np.abs(lm).max()
+        unit = lm / top if top > 0.0 else lm
+        centered = unit - unit.mean(axis=0)
         spread = np.linalg.eigvalsh(centered.T @ centered)
         if not spread[1] > COLLINEAR_RTOL * spread[2]:
             raise ScenarioError(
@@ -136,11 +144,6 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"initial estimates carry {est.count} landmarks, scenario has {n}"
             )
-        if not all(
-            np.isfinite(a).all()
-            for a in (est.p_hat, est.landmarks_hat, est.b_omega_hat, est.b_v_hat)
-        ):
-            raise ScenarioError("initial estimates must be finite")
         if self.bias.landmark is not None and self.bias.landmark.shape != (n, 3):
             raise ScenarioError(
                 f"landmark bias shape {self.bias.landmark.shape} does not match "
@@ -235,49 +238,50 @@ def _is_numeric(value, depth: int = 2) -> bool:
 
 def _number(value, where: str) -> float:
     if not _is_number(value):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
+        raise ScenarioError(f"{where} must be a number, got {_short.repr(value)}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise ScenarioError(f"{where} is out of range: {value!r}") from exc
+        raise ScenarioError(f"{where} is out of range: {_short.repr(value)}") from exc
 
 
 def _array(value, where: str) -> np.ndarray:
-    """A number or a regularly nested list of numbers, as a float array."""
+    """A number or a regularly nested list of numbers, as a float array.
+
+    The only type check of array fields; the value type the array goes into
+    checks its shape and finiteness.
+    """
     if not _is_numeric(value):
-        raise ScenarioError(f"{where} must be a number or a list of numbers, got {value!r}")
+        raise ScenarioError(
+            f"{where} must be a number or a list of numbers, got {_short.repr(value)}"
+        )
     try:
         return np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where} must be a regular array of numbers: {exc}") from exc
 
 
-def _vec3(value, where: str) -> np.ndarray:
-    arr = _array(value, where)
-    if arr.shape != (3,) or not np.isfinite(arr).all():
-        raise ScenarioError(f"{where} must be a finite 3-vector, got {value!r}")
-    return arr
+def _arrays(section: dict, where: str, **defaults) -> dict:
+    """defaults, with each key that section sets replaced by its array."""
+    return {
+        key: _array(section[key], f"{where}.{key}") if key in section else default
+        for key, default in defaults.items()
+    }
+
+
+def _build(where: str, cls, **fields):
+    """cls(**fields), with a ValueError re-raised as a ScenarioError naming where."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _twist(entry: dict, where: str) -> Twist:
     _section(entry, {"omega", "vel", "t"}, where)
     if "omega" not in entry or "vel" not in entry:
         raise ScenarioError(f"{where} needs both 'omega' and 'vel'")
-    return Twist(_vec3(entry["omega"], f"{where}.omega"), _vec3(entry["vel"], f"{where}.vel"))
-
-
-def _pose(entry: dict, where: str) -> Pose:
-    rotation = Rotation3.identity()
-    if "rotation" in entry:
-        m = _array(entry["rotation"], f"{where}.rotation")
-        try:
-            rotation = Rotation3(m)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.rotation: {exc}") from exc
-    position = np.zeros(3)
-    if "position" in entry:
-        position = _vec3(entry["position"], f"{where}.position")
-    return Pose(rotation, position)
+    return _build(where, Twist, **_arrays(entry, where, omega=None, vel=None))
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
@@ -331,18 +335,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     bias = SensorBias.zero()
     if "bias" in data:
         section = _section(data["bias"], {"omega", "vel", "landmark"}, "bias")
-        try:
-            bias = SensorBias(
-                omega=_vec3(section["omega"], "bias.omega") if "omega" in section else np.zeros(3),
-                vel=_vec3(section["vel"], "bias.vel") if "vel" in section else np.zeros(3),
-                landmark=(
-                    _array(section["landmark"], "bias.landmark")
-                    if "landmark" in section
-                    else None
-                ),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bias: {exc}") from exc
+        fields = _arrays(section, "bias", omega=np.zeros(3), vel=np.zeros(3), landmark=None)
+        bias = _build("bias", SensorBias, **fields)
 
     noise = NoiseSpec()
     if "noise" in data:
@@ -352,10 +346,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             for key in ("sigma_omega", "sigma_v", "sigma_y")
             if key in section
         }
-        try:
-            noise = NoiseSpec(**sigmas, seed=section.get("seed", 0))
-        except ValueError as exc:
-            raise ScenarioError(f"noise: {exc}") from exc
+        noise = _build("noise", NoiseSpec, **sigmas, seed=section.get("seed", 0))
 
     section = _section(data["gains"], {"k_p", "k_w", "gamma", "alpha"}, "gains")
     for key in ("k_p", "k_w", "gamma", "alpha"):
@@ -364,68 +355,64 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     alpha = _array(section["alpha"], "gains.alpha")
     if alpha.shape == ():
         alpha = np.full(n, float(alpha))
-    try:
-        gains = GainConfig(
-            k_p=_number(section["k_p"], "gains.k_p"),
-            k_w=_number(section["k_w"], "gains.k_w"),
-            gamma=_array(section["gamma"], "gains.gamma"),
-            alpha=alpha,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"gains: {exc}") from exc
+    gains = _build(
+        "gains",
+        GainConfig,
+        k_p=_number(section["k_p"], "gains.k_p"),
+        k_w=_number(section["k_w"], "gains.k_w"),
+        gamma=_array(section["gamma"], "gains.gamma"),
+        alpha=alpha,
+    )
 
     estimates = ObserverState.cold_start(max(n, 3))
     if "initial_estimates" in data:
+        where = "initial_estimates"
         section = _section(
-            data["initial_estimates"],
-            {"rotation", "position", "landmarks", "b_omega", "b_v"},
-            "initial_estimates",
+            data[where], {"rotation", "position", "landmarks", "b_omega", "b_v"}, where
         )
-        pose = _pose(section, "initial_estimates")
-        zero = np.zeros(3)
-        try:
-            estimates = ObserverState(
-                r_hat=pose.rotation,
-                p_hat=pose.position,
-                landmarks_hat=(
-                    _array(section["landmarks"], "initial_estimates.landmarks")
-                    if "landmarks" in section
-                    else np.zeros((max(n, 3), 3))
-                ),
-                b_omega_hat=(
-                    _vec3(section["b_omega"], "initial_estimates.b_omega")
-                    if "b_omega" in section
-                    else zero
-                ),
-                b_v_hat=(
-                    _vec3(section["b_v"], "initial_estimates.b_v") if "b_v" in section else zero
-                ),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"initial_estimates: {exc}") from exc
+        fields = _arrays(
+            section,
+            where,
+            rotation=np.eye(3),
+            position=np.zeros(3),
+            landmarks=np.zeros((max(n, 3), 3)),
+            b_omega=np.zeros(3),
+            b_v=np.zeros(3),
+        )
+        estimates = _build(
+            where,
+            ObserverState,
+            r_hat=_build(f"{where}.rotation", Rotation3, m=fields["rotation"]),
+            p_hat=fields["position"],
+            landmarks_hat=fields["landmarks"],
+            b_omega_hat=fields["b_omega"],
+            b_v_hat=fields["b_v"],
+        )
 
     initial_pose = Pose.identity()
     if "initial_pose" in data:
-        section = _section(data["initial_pose"], {"rotation", "position"}, "initial_pose")
-        initial_pose = _pose(section, "initial_pose")
-
-    try:
-        return ScenarioConfig(
-            name=data.get("name", name),
-            duration=_number(data["duration"], "duration"),
-            dt=_number(data["dt"], "dt") if "dt" in data else DEFAULT_DT,
-            twist_profile=profile,
-            initial_pose=initial_pose,
-            landmarks=landmarks,
-            bias=bias,
-            noise=noise,
-            gains=gains,
-            initial_estimates=estimates,
+        where = "initial_pose"
+        section = _section(data[where], {"rotation", "position"}, where)
+        fields = _arrays(section, where, rotation=np.eye(3), position=np.zeros(3))
+        initial_pose = _build(
+            where,
+            Pose,
+            rotation=_build(f"{where}.rotation", Rotation3, m=fields["rotation"]),
+            position=fields["position"],
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+
+    return ScenarioConfig(
+        name=data.get("name", name),
+        duration=_number(data["duration"], "duration"),
+        dt=_number(data["dt"], "dt") if "dt" in data else DEFAULT_DT,
+        twist_profile=profile,
+        initial_pose=initial_pose,
+        landmarks=landmarks,
+        bias=bias,
+        noise=noise,
+        gains=gains,
+        initial_estimates=estimates,
+    )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

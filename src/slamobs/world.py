@@ -17,7 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, Twist, _project_raw, _se3_exp_raw, _trusted
+from .geometry import (
+    Pose,
+    Rotation3,
+    Twist,
+    _as_rows3,
+    _as_vec3,
+    _project_raw,
+    _se3_exp_raw,
+    _trusted,
+)
+
+
+def _as_landmarks(v, name: str = "landmarks") -> np.ndarray:
+    """v as a finite (n, 3) landmark array with n >= 3, or ValueError."""
+    lm = _as_rows3(v, name)
+    if lm.shape[0] < 3:
+        raise ValueError(
+            f"at least 3 landmarks are required for observability, got {lm.shape[0]}"
+        )
+    return lm
 
 
 @dataclass(frozen=True)
@@ -28,16 +47,7 @@ class TrueState:
     landmarks: np.ndarray
 
     def __post_init__(self) -> None:
-        lm = np.asarray(self.landmarks, dtype=float)
-        if lm.ndim != 2 or lm.shape[1] != 3:
-            raise ValueError(f"landmarks must be an (n, 3) array, got shape {lm.shape}")
-        if lm.shape[0] < 3:
-            raise ValueError(
-                f"at least 3 landmarks are required for observability, got {lm.shape[0]}"
-            )
-        if not np.isfinite(lm).all():
-            raise ValueError("landmarks must be finite")
-        object.__setattr__(self, "landmarks", lm)
+        object.__setattr__(self, "landmarks", _as_landmarks(self.landmarks))
 
     @property
     def count(self) -> int:
@@ -58,19 +68,10 @@ class SensorBias:
     landmark: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).reshape(3))
-        object.__setattr__(self, "vel", np.asarray(self.vel, dtype=float).reshape(3))
-        if not (np.isfinite(self.omega).all() and np.isfinite(self.vel).all()):
-            raise ValueError("velocity biases must be finite")
+        object.__setattr__(self, "omega", _as_vec3(self.omega, "omega"))
+        object.__setattr__(self, "vel", _as_vec3(self.vel, "vel"))
         if self.landmark is not None:
-            lm = np.asarray(self.landmark, dtype=float)
-            if lm.ndim != 2 or lm.shape[1] != 3:
-                raise ValueError(
-                    f"landmark bias must be an (n, 3) array, got shape {lm.shape}"
-                )
-            if not np.isfinite(lm).all():
-                raise ValueError("landmark bias must be finite")
-            object.__setattr__(self, "landmark", lm)
+            object.__setattr__(self, "landmark", _as_rows3(self.landmark, "landmark"))
 
     @staticmethod
     def zero() -> "SensorBias":
@@ -121,12 +122,9 @@ class SensorFrame:
     t: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega_m", np.asarray(self.omega_m, dtype=float).reshape(3))
-        object.__setattr__(self, "v_m", np.asarray(self.v_m, dtype=float).reshape(3))
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 2 or y.shape[1] != 3:
-            raise ValueError(f"y must be an (n, 3) array, got shape {y.shape}")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "omega_m", _as_vec3(self.omega_m, "omega_m"))
+        object.__setattr__(self, "v_m", _as_vec3(self.v_m, "v_m"))
+        object.__setattr__(self, "y", _as_rows3(self.y, "y"))
         object.__setattr__(self, "t", float(self.t))
 
     @property

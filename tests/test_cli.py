@@ -86,6 +86,7 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()[0]) < 200
 
 
 class TestRun:
@@ -178,6 +179,15 @@ class TestRun:
         code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
         assert code == 1
         assert "error: could not write" in capsys.readouterr().err
+
+    def test_unusable_out_fails_before_the_run(self, scenario_file, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run started although --out cannot be created")
+
+        monkeypatch.setattr("slamobs.cli.run", no_run)
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
 
 
 class TestSweep:

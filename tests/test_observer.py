@@ -526,3 +526,62 @@ class TestObserverState:
         assert state.count == 5
         assert (state.landmarks_hat == 0.0).all()
         assert (state.r_hat.m == np.eye(3)).all()
+
+
+def _bias(**fields) -> SensorBias:
+    return SensorBias(**{"omega": np.zeros(3), "vel": np.zeros(3), **fields})
+
+
+def _state(**fields) -> ObserverState:
+    return ObserverState(
+        **{
+            "r_hat": Rotation3.identity(),
+            "p_hat": np.zeros(3),
+            "landmarks_hat": np.zeros((3, 3)),
+            "b_omega_hat": np.zeros(3),
+            "b_v_hat": np.zeros(3),
+            **fields,
+        }
+    )
+
+
+def _frame(**fields) -> SensorFrame:
+    return SensorFrame(
+        **{"omega_m": np.zeros(3), "v_m": np.zeros(3), "y": np.ones((3, 3)), "t": 0.0, **fields}
+    )
+
+
+ROW = np.zeros((1, 3))
+NAN3 = np.array([0.0, np.nan, 0.0])
+INF_ROWS = np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 0.0]])
+
+
+FIELD_CASES = [
+    (_bias, "omega", ROW, "a 3-vector"),
+    (_bias, "vel", ROW, "a 3-vector"),
+    (_state, "p_hat", ROW, "a 3-vector"),
+    (_state, "b_omega_hat", ROW, "a 3-vector"),
+    (_state, "b_v_hat", ROW, "a 3-vector"),
+    (_frame, "omega_m", ROW, "a 3-vector"),
+    (_frame, "v_m", ROW, "a 3-vector"),
+    (_state, "p_hat", NAN3, "finite"),
+    (_state, "landmarks_hat", INF_ROWS, "finite"),
+    (_state, "b_omega_hat", -NAN3, "finite"),
+    (_state, "b_v_hat", np.array([np.inf, 0.0, 0.0]), "finite"),
+    (_frame, "omega_m", NAN3, "finite"),
+    (_frame, "v_m", np.array([0.0, 0.0, -np.inf]), "finite"),
+    (_frame, "y", INF_ROWS, "finite"),
+]
+
+
+class TestFieldRules:
+    """Every 3-vector field takes exactly shape (3,), every value is finite."""
+
+    @pytest.mark.parametrize(
+        "build, field, value, rule",
+        FIELD_CASES,
+        ids=[f"{b.__name__[1:]}-{f}-{r.split()[-1]}" for b, f, _, r in FIELD_CASES],
+    )
+    def test_rejects(self, build, field, value, rule):
+        with pytest.raises(ValueError, match=f"{field} must be {rule}"):
+            build(**{field: value})

@@ -302,6 +302,30 @@ class TestValidation:
             with pytest.raises(ScenarioError, match="not orthonormal"):
                 scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "landmarks, loads",
+        [
+            ([[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [1e200, -1e200, 0.0],
+              [-1e200, -1e200, 0.0]], True),
+            ([[1e-200, 1e-200, 0.0], [-1e-200, 1e-200, 0.0], [1e-200, -1e-200, 0.0],
+              [-1e-200, -1e-200, 0.0]], True),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e200]], False),
+            ([[1.7e308, 1.7e308, 0.0], [1.7e308, 0.0, 1.7e308], [-1.7e308, 0.0, 0.0]], True),
+        ],
+        ids=["square-1e200", "square-1e-200", "outlier-1e200", "centroid-overflow"],
+    )
+    def test_collinearity_rule_is_scale_free(self, landmarks, loads):
+        # A square is a square at any scale; beside a coordinate of 1e200 the
+        # other two landmarks coincide with the origin in floating point.
+        data = dict(MINIMAL, landmarks=landmarks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if loads:
+                assert scenario_from_dict(data).count == len(landmarks)
+            else:
+                with pytest.raises(ScenarioError, match="not collinear"):
+                    scenario_from_dict(data)
+
     def test_non_numeric_landmarks(self):
         with pytest.raises(ScenarioError, match="landmarks must be a number"):
             scenario_from_dict(dict(MINIMAL, landmarks=[[1, "a", 0]] * 3))
@@ -320,6 +344,7 @@ class TestValidation:
             ("gains", "alpha", [0.1, math.inf, 0.1]),
             ("initial_estimates", "landmarks", [[0.0, 0.0, math.inf]] * 3),
             ("initial_estimates", "b_omega", [0.0, -math.inf, 0.0]),
+            ("gains", "gamma", math.inf),
         ],
     )
     def test_non_finite_value(self, section, key, value):
@@ -377,7 +402,9 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=10,
 )
-_number = st.floats() | st.integers(-3, 3)
+_number = (
+    st.floats() | st.integers(-3, 3) | st.sampled_from([math.inf, -math.inf, 1e200, -1e308])
+)
 # Small integer grids make coincident and collinear landmark sets common.
 _points = st.lists(
     st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=3, max_size=3), min_size=2, max_size=5
