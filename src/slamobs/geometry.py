@@ -216,8 +216,27 @@ def rotation_distance(r: Rotation3) -> float:
     0 at the identity, 1 at a half-turn. The clamp absorbs rounding that can
     otherwise produce values like -1e-17.
     """
-    d = 0.25 * (3.0 - float(np.trace(r.m)))
-    return min(max(d, 0.0), 1.0)
+    return float(_rotation_distance_raw(r.m))
+
+
+def _rotation_distance_raw(m: np.ndarray) -> np.ndarray:
+    """rotation_distance of the 3x3 matrices stacked on m's leading axes."""
+    d = 0.25 * (3.0 - m.trace(axis1=-2, axis2=-1))
+    return np.minimum(np.maximum(d, 0.0), 1.0)
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcasting over the leading axes.
+
+    A stacked matmul, so each entry has the bits of the 1-D product a @ b;
+    (a * b).sum(axis=-1) rounds differently in about one row in ten.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis, bit for bit, broadcasting over the rest."""
+    return np.sqrt(_dot_rows(x, x))
 
 
 def _project_raw(a: np.ndarray) -> np.ndarray:

@@ -9,10 +9,13 @@ final step is always recorded even when a decimation stride is active, so
 run and trajectory share one loop (_steps) over raw float64 arrays. It
 calls the same raw helpers that observer_step, true_step and sense wrap,
 forms the landmark errors once per step for both the metrics and the
-update, and computes the truth's pose increment once per twist knot. The
-public value types are built only at the boundary: trajectory wraps every
-step into a StepSnapshot, run only the recorded steps, which it passes to
-compute_metrics. Inputs are validated once, by ScenarioConfig.
+update, and computes the truth's pose increment once per twist knot.
+trajectory wraps every step into a StepSnapshot. run builds no value types
+per step: it copies each recorded step's arrays into buffers of
+RECORD_CHUNK records and computes every metric column of a full buffer at
+once (_metric_columns). compute_metrics is the same computation over one
+snapshot, so both give the same bits. Inputs are validated once, by
+ScenarioConfig.
 
 All truth-aware diagnostics (pose error, bias error, the Lyapunov-style
 energy) are computed here in the harness, where the truth is available; the
@@ -28,21 +31,24 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, _trusted, rotation_distance
+from .geometry import Pose, Rotation3, _norms, _rotation_distance_raw, _trusted
 from .observer import (
     DivergenceError,
     ObserverState,
+    _bias_error_raw,
+    _energy_raw,
     _errors_raw,
+    _pose_error_raw,
     _step_raw,
-    bias_error,
-    lyapunov_value,
-    pose_error,
 )
 from .scenario import ScenarioConfig
 from .world import SensorFrame, TrueState, _increment_raw, _sense_raw, _true_step_raw
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
+# run buffers this many recorded steps before computing their metrics, and
+# csv_rows formats this many records at a time.
+RECORD_CHUNK = 1024
 
 # Sweep axis name -> the config with that parameter set to (or, for the
 # *_scale axes, scaled by) a value.
@@ -171,26 +177,48 @@ def trajectory(config: ScenarioConfig) -> Iterator[StepSnapshot]:
         yield _snapshot(config, *step)
 
 
-def compute_metrics(snapshot: StepSnapshot, config: ScenarioConfig) -> MetricsRecord:
-    """Pure function of a snapshot; recomputing from a saved trace is bit-exact."""
-    state = snapshot.state
-    truth = snapshot.truth
-    e = snapshot.e
-    e_norm = np.sqrt((e * e).sum(axis=1))
-    diff = truth.landmarks - state.landmarks_hat
-    p_err = np.sqrt((diff * diff).sum(axis=1))
-    perr = pose_error(state, truth)
-    berr = bias_error(state, config.bias)
-    return MetricsRecord(
-        t=snapshot.t,
-        e_norm=e_norm,
-        p_err=p_err,
-        r_tilde_dist=rotation_distance(perr.r_tilde),
-        p_tilde_norm=float(np.linalg.norm(perr.p_tilde)),
-        b_omega_tilde_norm=float(np.linalg.norm(berr.b_omega_tilde)),
-        b_v_tilde_norm=float(np.linalg.norm(berr.b_v_tilde)),
-        lyapunov=lyapunov_value(state, e, config.bias, config.gains),
+def _metric_columns(t, truth, estimate, e, config: ScenarioConfig) -> tuple:
+    """Every MetricsRecord column, in field order, over the leading record axes.
+
+    truth is (rot, pos, landmarks) and estimate is laid out as
+    ObserverState.arrays(). The arrays of many records are stacked on a
+    leading axis (landmarks may omit it); those of one record have none.
+    Each formula is the broadcasting helper that its public one-record
+    function (pose_error, bias_error, rotation_distance, lyapunov_value)
+    calls, and _norms has the bits of np.linalg.norm.
+    """
+    rot, pos, landmarks = truth
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    r_tilde, p_tilde = _pose_error_raw(r_hat, p_hat, rot, pos)
+    b_omega_tilde, b_v_tilde = _bias_error_raw(config.bias, b_omega_hat, b_v_hat)
+    diff = landmarks - landmarks_hat
+    return (
+        t,
+        np.sqrt((e * e).sum(axis=-1)),
+        np.sqrt((diff * diff).sum(axis=-1)),
+        _rotation_distance_raw(r_tilde),
+        _norms(p_tilde),
+        _norms(b_omega_tilde),
+        _norms(b_v_tilde),
+        _energy_raw(e, b_omega_tilde, b_v_tilde, config.gains),
     )
+
+
+def compute_metrics(snapshot: StepSnapshot, config: ScenarioConfig) -> MetricsRecord:
+    """Pure function of a snapshot; recomputing from a saved trace is bit-exact.
+
+    It is _metric_columns over one record, so it equals the record that run
+    computes for the same step, bit for bit.
+    """
+    truth = snapshot.truth
+    t, e_norm, p_err, *scalars = _metric_columns(
+        snapshot.t,
+        (truth.pose.rotation.m, truth.pose.position, truth.landmarks),
+        snapshot.state.arrays(),
+        snapshot.e,
+        config,
+    )
+    return MetricsRecord(t, e_norm, p_err, *map(float, scalars))
 
 
 def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
@@ -203,11 +231,29 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     steps = config.step_count
+    recorded = steps // stride + 1 + (steps % stride != 0)
     records = []
-    for step in _steps(config):
-        k = step[0]
-        if k % stride == 0 or k == steps:
-            records.append(compute_metrics(_snapshot(config, *step), config))
+    buffers = None
+    i = 0
+    for k, t, truth, estimate, _, e in _steps(config):
+        if k % stride and k != steps:
+            continue
+        values = (t, *truth, *estimate, e)
+        if buffers is None:
+            rows = min(RECORD_CHUNK, recorded)
+            buffers = [np.empty((rows, *np.shape(v))) for v in values]
+        for buffer, value in zip(buffers, values):
+            buffer[i] = value
+        i += 1
+        if i == len(buffers[0]) or k == steps:
+            t_col, rot, pos, *estimate_cols, e_col = (b[:i] for b in buffers)
+            _, e_norm, p_err, *scalars = _metric_columns(
+                t_col, (rot, pos, config.landmarks), estimate_cols, e_col, config
+            )
+            records += map(
+                MetricsRecord, t_col.tolist(), e_norm, p_err, *(c.tolist() for c in scalars)
+            )
+            i = 0
     return records
 
 
@@ -220,23 +266,29 @@ def csv_header(n: int) -> str:
 
 
 def csv_rows(records: list[MetricsRecord], n: int) -> Iterator[str]:
-    yield csv_header(n)
+    """The header, then one line per record; checks every record first.
+
+    Each chunk of records is stacked into one float64 array whose rows are
+    formatted with repr, the same text as repr(float(cell)) per cell.
+    """
     for rec in records:
         if rec.e_norm.shape[0] != n:
             raise ValueError(
                 f"record carries {rec.e_norm.shape[0]} landmarks, expected {n}"
             )
-        cells = [rec.t]
-        cells += rec.e_norm.tolist()
-        cells += rec.p_err.tolist()
-        cells += [
-            rec.r_tilde_dist,
-            rec.p_tilde_norm,
-            rec.b_omega_tilde_norm,
-            rec.b_v_tilde_norm,
-            rec.lyapunov,
+    yield csv_header(n)
+    for start in range(0, len(records), RECORD_CHUNK):
+        chunk = records[start : start + RECORD_CHUNK]
+        m = np.empty((len(chunk), 2 * n + 6))
+        m[:, 0] = [r.t for r in chunk]
+        m[:, 1 : n + 1] = [r.e_norm for r in chunk]
+        m[:, n + 1 : 2 * n + 1] = [r.p_err for r in chunk]
+        m[:, 2 * n + 1 :] = [
+            (r.r_tilde_dist, r.p_tilde_norm, r.b_omega_tilde_norm, r.b_v_tilde_norm, r.lyapunov)
+            for r in chunk
         ]
-        yield ",".join(repr(float(c)) for c in cells)
+        for row in m.tolist():
+            yield ",".join(map(repr, row))
 
 
 def write_csv(records: list[MetricsRecord], n: int, path: str | Path) -> None:

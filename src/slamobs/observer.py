@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Rotation3, _as_vec3, _project_raw, _se3_exp_raw, _trusted, hat3
+from .geometry import Rotation3, _as_vec3, _dot_rows, _project_raw, _se3_exp_raw, _trusted, hat3
 from .world import SensorBias, SensorFrame, TrueState, _as_landmarks
 
 _EYE3 = np.eye(3)
@@ -111,7 +111,11 @@ class GainConfig:
             raise ValueError(f"gamma must be a scalar or 3x3 matrix, got shape {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("gamma must be finite")
-        if np.abs(g - g.T).max() > 1e-9:
+        # Opposite entries near the float limit overflow the difference; the
+        # inf fails the check below.
+        with np.errstate(over="ignore"):
+            asymmetry = np.abs(g - g.T).max()
+        if asymmetry > 1e-9:
             raise ValueError("gamma must be symmetric")
         smallest = float(np.linalg.eigvalsh(g)[0])
         if not smallest > 0.0:
@@ -121,7 +125,11 @@ class GainConfig:
         if not ((a > 0.0) & (a < math.inf)).all():
             raise ValueError(f"all alpha values must be positive and finite, got {a}")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "gamma_inv", np.linalg.inv(g))
+        # A subnormal gamma is positive definite, but its inverse overflows.
+        g_inv = np.linalg.inv(g)
+        if not np.isfinite(g_inv).all():
+            raise ValueError("gamma must have a finite inverse")
+        object.__setattr__(self, "gamma_inv", g_inv)
 
     @property
     def count(self) -> int:
@@ -404,20 +412,47 @@ def lyapunov_value(
     e = np.asarray(errors, dtype=float).reshape(-1, 3)
     if e.shape[0] != gains.count:
         raise ValueError(f"got {e.shape[0]} errors for {gains.count} alpha values")
-    value = float((0.5 * (e * e).sum(axis=1) / gains.alpha).sum())
-    bo = true_bias.omega - state.b_omega_hat
-    bv = true_bias.vel - state.b_v_hat
-    value += 0.5 * float(bo @ gains.gamma_inv @ bo + bv @ gains.gamma_inv @ bv)
-    return value
+    bias_tilde = _bias_error_raw(true_bias, state.b_omega_hat, state.b_v_hat)
+    return float(_energy_raw(e, *bias_tilde, gains))
+
+
+def _energy_raw(
+    e: np.ndarray, b_omega_tilde: np.ndarray, b_v_tilde: np.ndarray, gains: GainConfig
+) -> np.ndarray:
+    """lyapunov_value on raw arrays, broadcasting over leading axes.
+
+    e is (..., n, 3), the bias errors are (..., 3).
+    """
+    g_inv = gains.gamma_inv
+    value = (0.5 * (e * e).sum(axis=-1) / gains.alpha).sum(axis=-1)
+    return value + 0.5 * (
+        _dot_rows(b_omega_tilde @ g_inv, b_omega_tilde) + _dot_rows(b_v_tilde @ g_inv, b_v_tilde)
+    )
 
 
 def bias_error(state: ObserverState, true_bias: SensorBias) -> BiasError:
     """Truth-aware bias error b - b_hat for both velocity channels."""
-    return BiasError(true_bias.omega - state.b_omega_hat, true_bias.vel - state.b_v_hat)
+    return BiasError(*_bias_error_raw(true_bias, state.b_omega_hat, state.b_v_hat))
+
+
+def _bias_error_raw(
+    true_bias: SensorBias, b_omega_hat: np.ndarray, b_v_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """bias_error on raw estimates, broadcasting over leading axes."""
+    return true_bias.omega - b_omega_hat, true_bias.vel - b_v_hat
 
 
 def pose_error(state: ObserverState, truth: TrueState) -> PoseError:
     """Truth-aware pose error; constant in the limit of a converged run."""
-    r_tilde = _trusted(Rotation3, m=state.r_hat.m @ truth.pose.rotation.m.T)
-    p_tilde = state.p_hat - r_tilde.m @ truth.pose.position
-    return PoseError(r_tilde, p_tilde)
+    r_tilde, p_tilde = _pose_error_raw(
+        state.r_hat.m, state.p_hat, truth.pose.rotation.m, truth.pose.position
+    )
+    return PoseError(_trusted(Rotation3, m=r_tilde), p_tilde)
+
+
+def _pose_error_raw(
+    r_hat: np.ndarray, p_hat: np.ndarray, rot: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """pose_error on raw arrays, broadcasting over leading axes."""
+    r_tilde = r_hat @ rot.swapaxes(-1, -2)
+    return r_tilde, p_hat - (r_tilde @ pos[..., None])[..., 0]

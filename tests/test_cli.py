@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, outputs, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -87,6 +88,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()[0]) < 200
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (1e-320, "gamma must have a finite inverse"),
+            ([[1.0, 1e308, 0.0], [-1e308, 1.0, 0.0], [0.0, 0.0, 1.0]], "gamma must be symmetric"),
+        ],
+        ids=["subnormal", "opposite-1e308"],
+    )
+    def test_degenerate_gamma_exits_one(self, tmp_path, capsys, gamma, message):
+        # A subnormal gamma has an infinite inverse, so the energy of a run
+        # would be NaN; opposite entries near the float limit overflow g - g^T.
+        data = dict(COMPACT_FILE, gains=dict(COMPACT_FILE["gains"], gamma=gamma))
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: gains: {message}\n"
 
 
 class TestRun:

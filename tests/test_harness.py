@@ -8,7 +8,10 @@ import pytest
 
 from slamobs import (
     DivergenceError,
+    GainConfig,
+    MetricsRecord,
     NoiseSpec,
+    ObserverState,
     SensorBias,
     TrueState,
     Twist,
@@ -27,6 +30,8 @@ from slamobs import (
     true_step,
     write_csv,
 )
+from slamobs import harness
+from slamobs.harness import csv_rows
 
 from conftest import make_compact_scenario, make_gentle_scenario
 
@@ -58,6 +63,21 @@ def noisy_knotted_scenario():
     )
     bias = SensorBias(base.bias.omega, base.bias.vel, np.linspace(-0.01, 0.01, 12).reshape(4, 3))
     return replace(base, twist_profile=TwistProfile(knots), bias=bias)
+
+
+def wide_noisy_scenario():
+    """noisy_knotted_scenario with 24 landmarks: more terms per energy sum
+    than numpy's 8-wide pairwise summation block."""
+    base = noisy_knotted_scenario()
+    rng = np.random.default_rng(24)
+    landmarks = np.column_stack([rng.uniform(-1.0, 1.0, (24, 2)), rng.uniform(-0.3, 0.3, 24)])
+    return replace(
+        base,
+        landmarks=landmarks,
+        bias=replace(base.bias, landmark=None),
+        gains=GainConfig(base.gains.k_p, base.gains.k_w, base.gains.gamma, np.full(24, 0.1)),
+        initial_estimates=ObserverState.cold_start(24),
+    )
 
 
 def record_bits(rec):
@@ -120,6 +140,36 @@ class TestSharedLoop:
                 assert a.tobytes() == b.tobytes()
             state = observer_step(state, frame, config.gains, config.dt, scheme="implicit")
             truth = true_step(truth, twist, config.dt)
+
+
+class TestRecordChunks:
+    CHUNK = 5
+
+    @pytest.mark.parametrize(
+        "make_config, stride",
+        [
+            (noisy_knotted_scenario, 1),
+            (noisy_knotted_scenario, 7),
+            (noisy_knotted_scenario, 9),
+            (wide_noisy_scenario, 1),
+            (wide_noisy_scenario, 7),
+        ],
+        ids=["knotted-1", "knotted-7", "knotted-9", "wide24-1", "wide24-7"],
+    )
+    def test_chunked_run_equals_metrics_over_trajectory(self, monkeypatch, make_config, stride):
+        monkeypatch.setattr(harness, "RECORD_CHUNK", self.CHUNK)
+        config = make_config()
+        steps = config.step_count
+        expected = [
+            record_bits(compute_metrics(snap, config))
+            for snap in trajectory(config)
+            if snap.k % stride == 0 or snap.k == steps
+        ]
+        assert len(expected) > self.CHUNK
+        if stride == 9:
+            # The records fill whole chunks, and the final one is off the stride.
+            assert len(expected) % self.CHUNK == 0 and steps % stride != 0
+        assert [record_bits(r) for r in run(config, stride=stride)] == expected
 
 
 class TestRunLoop:
@@ -236,6 +286,40 @@ class TestCsv:
         write_csv(run(config), config.count, path_a)
         write_csv(run(config), config.count, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+class TestCsvRows:
+    AWKWARD = [1e-05, 1e16, 5e-324, 0.1 + 0.2, -0.0, 1.0 / 3.0, 1e308, 123456789.0]
+
+    @staticmethod
+    def record(values, n=2):
+        return MetricsRecord(
+            values[0], np.array(values[1 : n + 1]), np.array(values[n + 1 : 2 * n + 1]),
+            *values[2 * n + 1 : 2 * n + 6],
+        )
+
+    @staticmethod
+    def cells(rec):
+        return [
+            rec.t, *rec.e_norm.tolist(), *rec.p_err.tolist(), rec.r_tilde_dist,
+            rec.p_tilde_norm, rec.b_omega_tilde_norm, rec.b_v_tilde_norm, rec.lyapunov,
+        ]
+
+    def test_rows_equal_repr_of_each_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "RECORD_CHUNK", 3)
+        values = self.AWKWARD * 2
+        records = [self.record(values[i:] + values[:i]) for i in range(len(self.AWKWARD))]
+        rows = list(csv_rows(records, 2))
+        assert rows[0] == csv_header(2)
+        assert rows[1:] == [",".join(repr(float(c)) for c in self.cells(r)) for r in records]
+
+    def test_wrong_landmark_count_raises_before_any_row(self, tmp_path):
+        good = self.record(self.AWKWARD * 2)
+        bad = self.record(self.AWKWARD * 2, n=3)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="record carries 3 landmarks, expected 2"):
+            write_csv([good, good, bad], 2, path)
+        assert path.read_bytes() == b""
 
 
 class TestSettlingTime:
