@@ -62,12 +62,11 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+def _det3(m: np.ndarray):
+    """Determinant of one 3x3 matrix, a float, or of matrices stacked on a
+    leading axis, an array."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,23 @@ class Pose:
 
 
 def _hat_raw(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """hat3 of one 3-vector, or of 3-vectors stacked on a leading axis."""
+    if v.ndim == 1:
+        return np.array(
+            [
+                [0.0, -v[2], v[1]],
+                [v[2], 0.0, -v[0]],
+                [-v[1], v[0], 0.0],
+            ]
+        )
+    k = np.zeros((*v.shape, 3))
+    k[..., 0, 1] = -v[..., 2]
+    k[..., 0, 2] = v[..., 1]
+    k[..., 1, 0] = v[..., 2]
+    k[..., 1, 2] = -v[..., 0]
+    k[..., 2, 0] = -v[..., 1]
+    k[..., 2, 1] = v[..., 0]
+    return k
 
 
 def hat3(v) -> np.ndarray:
@@ -167,28 +176,53 @@ def vee3(s) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _exp_coefficients(theta_sq: float) -> tuple[float, float, float]:
+def _exp_coefficients(omega_dt: np.ndarray):
     """Rodrigues and left-Jacobian coefficients (sin t / t, (1 - cos t) / t^2,
-    (t - sin t) / t^3) with second-order Taylor fallbacks below SMALL_ANGLE."""
-    if theta_sq < SMALL_ANGLE * SMALL_ANGLE:
-        return (
-            1.0 - theta_sq / 6.0,
-            0.5 - theta_sq / 24.0,
-            1.0 / 6.0 - theta_sq / 120.0,
-        )
-    theta = math.sqrt(theta_sq)
-    s = math.sin(theta)
-    return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
+    (t - sin t) / t^3) of the rotation vector omega_dt, t = ||omega_dt||, with
+    second-order Taylor fallbacks below SMALL_ANGLE.
+
+    One vector gives Python floats through math. Vectors stacked on a leading
+    member axis give one (B, 1, 1) array per coefficient, which broadcasts
+    against the stacked 3x3 matrices; np.sin and np.cos may round differently
+    from math.sin and math.cos, so a member can differ from its one-vector
+    coefficients in the last bits.
+    """
+    if omega_dt.ndim == 1:
+        theta_sq = float(omega_dt @ omega_dt)
+        if theta_sq < SMALL_ANGLE * SMALL_ANGLE:
+            return (
+                1.0 - theta_sq / 6.0,
+                0.5 - theta_sq / 24.0,
+                1.0 / 6.0 - theta_sq / 120.0,
+            )
+        theta = math.sqrt(theta_sq)
+        s = math.sin(theta)
+        return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
+    theta_sq = _dot_rows(omega_dt, omega_dt)
+    small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
+    # Small angles take the series; 1.0 only keeps their unused closed form finite.
+    theta_sq_safe = np.where(small, 1.0, theta_sq)
+    theta = np.sqrt(theta_sq_safe)
+    s = np.sin(theta)
+    coefficients = (
+        np.where(small, 1.0 - theta_sq / 6.0, s / theta),
+        np.where(small, 0.5 - theta_sq / 24.0, (1.0 - np.cos(theta)) / theta_sq_safe),
+        np.where(small, 1.0 / 6.0 - theta_sq / 120.0, (theta - s) / (theta_sq_safe * theta)),
+    )
+    return tuple(x[:, None, None] for x in coefficients)
 
 
 def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) of the rigid exponential, no validation."""
-    a, b, c = _exp_coefficients(float(omega_dt @ omega_dt))
+    """(rotation, translation) of the rigid exponential, no validation.
+
+    omega_dt and vel_dt are one twist or twists stacked on a leading axis.
+    """
+    a, b, c = _exp_coefficients(omega_dt)
     k = _hat_raw(omega_dt)
     k2 = k @ k
     rot = _EYE3 + a * k + b * k2
     jac = _EYE3 + b * k + c * k2
-    return rot, jac @ vel_dt
+    return rot, _matvec(jac, vel_dt)
 
 
 def so3_exp(omega_dt) -> Rotation3:
@@ -231,7 +265,20 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A stacked matmul, so each entry has the bits of the 1-D product a @ b;
     (a * b).sum(axis=-1) rounds differently in about one row in ten.
     """
+    if a.ndim == 1:
+        return a @ b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for matrices and vectors stacked on matching leading axes.
+
+    numpy computes both a 1-D and an (..., 3, 1) right operand as a
+    matrix-vector product, so each result has the bits of the unstacked m @ v.
+    """
+    if v.ndim == 1:
+        return m @ v
+    return (m @ v[..., None])[..., 0]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -240,16 +287,31 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _project_raw(a: np.ndarray) -> np.ndarray:
-    """Polar projection without input validation; see project_orthonormal."""
-    e = a.T @ a - _EYE3
-    if np.abs(e).max() < 1e-5 and _det3(a) > 0.0:
-        # Polar factor a (a^T a)^(-1/2) via series; error is O(||E||^3) <= 1e-15.
-        return a @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
+    """Polar projection without input validation; see project_orthonormal.
 
+    a is one matrix or matrices stacked on a leading member axis. A stack
+    takes the series for all members at once, then recomputes every member
+    outside the series' domain alone through the SVD.
+    """
+    e = a.swapaxes(-1, -2) @ a - _EYE3
+    # Polar factor a (a^T a)^(-1/2) via series; error is O(||E||^3) <= 1e-15.
+    if a.ndim == 2:
+        if np.abs(e).max() < 1e-5 and _det3(a) > 0.0:
+            return a @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
+        return _project_svd(a)
+    out = a @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
+    series = (np.abs(e).max(axis=(-2, -1)) < 1e-5) & (_det3(a) > 0.0)
+    for i in np.flatnonzero(~series):
+        out[i] = _project_svd(a[i])
+    return out
+
+
+def _project_svd(a: np.ndarray) -> np.ndarray:
+    """Polar projection of one 3x3 matrix through the SVD, det +1."""
     u, s, vt = np.linalg.svd(a)
     if not s[-1] > 1e-12:
         raise ValueError(f"matrix is singular (smallest singular value {s[-1]:.3e})")
-    r = u @ np.diag([1.0, 1.0, float(_det3(u @ vt))]) @ vt
+    r = u @ np.diag([1.0, 1.0, _det3(u @ vt)]) @ vt
     det = _det3(r)
     if not abs(det - 1.0) <= ROTATION_TOL:
         raise ValueError(f"projection failed to produce a proper rotation: det = {det!r}")

@@ -36,21 +36,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Rotation3, _as_vec3, _dot_rows, _project_raw, _se3_exp_raw, _trusted, hat3
+from .geometry import (
+    Rotation3,
+    _as_vec3,
+    _dot_rows,
+    _matvec,
+    _project_raw,
+    _se3_exp_raw,
+    _trusted,
+    hat3,
+)
 from .world import SensorBias, SensorFrame, TrueState, _as_landmarks
 
 _EYE3 = np.eye(3)
 
 
 class DivergenceError(RuntimeError):
-    """The observer state stopped being finite (gain / step-size blow-up)."""
+    """The observer state stopped being finite (gain / step-size blow-up).
 
-    def __init__(self, message: str, step: int | None = None):
+    step is the failing step index of a run. members, raised by a step of
+    members stacked on a leading axis, is the boolean mask of the members
+    that left the finite range; the others' update is well defined.
+    """
+
+    def __init__(self, message: str, step: int | None = None, members: np.ndarray | None = None):
         super().__init__(message)
         self.step = step
+        self.members = members
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,32 @@ class GainConfig:
         return self.alpha.shape[0]
 
 
+class StackedGains(NamedTuple):
+    """The GainConfigs of B members on a leading axis, as _step_raw reads them.
+
+    k_p and k_w are (B, 1) columns, so that they broadcast against per-member
+    rows; gamma is (B, 3, 3) and alpha (B, n).
+    """
+
+    k_p: np.ndarray
+    k_w: np.ndarray
+    gamma: np.ndarray
+    alpha: np.ndarray
+
+    @staticmethod
+    def of(gains: list[GainConfig]) -> "StackedGains":
+        return StackedGains(
+            np.array([[g.k_p] for g in gains]),
+            np.array([[g.k_w] for g in gains]),
+            np.stack([g.gamma for g in gains]),
+            np.stack([g.alpha for g in gains]),
+        )
+
+    def take(self, keep: np.ndarray) -> "StackedGains":
+        """The gains of the members selected by keep."""
+        return StackedGains(*(a[keep] for a in self))
+
+
 @dataclass(frozen=True)
 class LandmarkError:
     """Error vector with its angle-axis geometry and adaptation gain.
@@ -218,15 +260,20 @@ def landmark_errors(state: ObserverState, frame: SensorFrame) -> np.ndarray:
 def _errors_raw(
     r_hat: np.ndarray, p_hat: np.ndarray, landmarks_hat: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Landmark errors p_hat_i - (R_hat y_i + P_hat) on raw arrays."""
-    return landmarks_hat - (y @ r_hat.T + p_hat)
+    """Landmark errors p_hat_i - (R_hat y_i + P_hat) on raw arrays.
+
+    The estimate may carry a leading member axis; y then has it too, or is
+    one measurement shared by every member.
+    """
+    return landmarks_hat - (y @ r_hat.swapaxes(-1, -2) + p_hat[..., None, :])
 
 
 def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    """Row-wise cross products a_i x b_i; a may omit b's leading axes."""
+    out = np.empty_like(b)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
 
 
@@ -235,10 +282,11 @@ def _innovation_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-landmark sums shared by the corrections and the bias adaptation.
 
-    Returns (sum_i [y_i]_x R_hat^T e_i / alpha_i, sum_i R_hat^T e_i / alpha_i).
+    Returns (sum_i [y_i]_x R_hat^T e_i / alpha_i, sum_i R_hat^T e_i / alpha_i),
+    per member when the arguments are stacked (see _step_raw).
     """
-    u = (e @ r_hat) / gains.alpha[:, None]
-    return _row_cross(y, u).sum(axis=0), u.sum(axis=0)
+    u = (e @ r_hat) / gains.alpha[..., None]
+    return _row_cross(y, u).sum(axis=-2), u.sum(axis=-2)
 
 
 def correction_terms(
@@ -269,21 +317,34 @@ def _implicit_sums(
     cofactors; then s_bar_v = (s_v + c m x s_bar_omega) / d. s_bar is the
     innovation sum of the body-frame errors R_hat^T e_i + c A_i s_bar, that
     is, of the errors after the feedback alone with the y_i held fixed.
+
+    The body below is elementwise. For one member it runs on Python floats;
+    for members stacked on a leading axis (see _step_raw) it runs unchanged
+    on (B, 1) columns, with the same bits per member.
     """
     c = dt * gains.k_w
     # One product gives S2, m and sum_i 1 / alpha_i: the alpha-weighted Gram
     # matrix of the rows (y_i, 1).
-    y1 = np.empty((y.shape[0], 4))
-    y1[:, :3] = y
-    y1[:, 3] = 1.0
+    y1 = np.empty((*y.shape[:-1], 4))
+    y1[..., :3] = y
+    y1[..., 3] = 1.0
+    gram = (y1.swapaxes(-1, -2) / gains.alpha[..., None, :]) @ y1
+    stacked = s_omega.ndim > 1
+    if stacked:
+        # Contiguous (B, 1) columns, which broadcast like c and are the
+        # fastest small arrays for numpy's elementwise loops.
+        gram = gram.transpose(1, 2, 0)[..., None].copy()
+        s_omega, s_v = s_omega.T[..., None].copy(), s_v.T[..., None].copy()
+    else:
+        gram, s_omega, s_v = gram.tolist(), s_omega.tolist(), s_v.tolist()
     (
         (a00, a01, a02, m0),
         (_, a11, a12, m1),
         (_, _, a22, m2),
         (_, _, _, inv_alpha_sum),
-    ) = ((y1.T / gains.alpha) @ y1).tolist()
-    w0, w1, w2 = s_omega.tolist()
-    v0, v1, v2 = s_v.tolist()
+    ) = gram
+    w0, w1, w2 = s_omega
+    v0, v1, v2 = s_v
     d = 1.0 + c * inv_alpha_sum
     q = c * c / d
     diag = 1.0 + c * (a00 + a11 + a22) - q * (m0 * m0 + m1 * m1 + m2 * m2)
@@ -307,13 +368,15 @@ def _implicit_sums(
     x0 = (c00 * r0 + c01 * r1 + c02 * r2) * inv_det
     x1 = (c01 * r0 + c11 * r1 + c12 * r2) * inv_det
     x2 = (c02 * r0 + c12 * r1 + c22 * r2) * inv_det
-    return np.array([x0, x1, x2]), np.array(
-        [
-            (v0 + c * (m1 * x2 - m2 * x1)) / d,
-            (v1 + c * (m2 * x0 - m0 * x2)) / d,
-            (v2 + c * (m0 * x1 - m1 * x0)) / d,
-        ]
+    x = (x0, x1, x2)
+    v = (
+        (v0 + c * (m1 * x2 - m2 * x1)) / d,
+        (v1 + c * (m2 * x0 - m0 * x2)) / d,
+        (v2 + c * (m0 * x1 - m1 * x0)) / d,
     )
+    if stacked:
+        return np.concatenate(x, axis=-1), np.concatenate(v, axis=-1)
+    return np.array(x), np.array(v)
 
 
 def observer_step(
@@ -358,7 +421,12 @@ def observer_step(
 
 
 def _step_raw(
-    estimate: tuple, measurement: tuple, e: np.ndarray, gains: GainConfig, dt: float, implicit: bool
+    estimate: tuple,
+    measurement: tuple,
+    e: np.ndarray,
+    gains: GainConfig | StackedGains,
+    dt: float,
+    implicit: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """observer_step on raw arrays, given the errors e of this state and frame.
 
@@ -366,9 +434,18 @@ def _step_raw(
     the result is the estimate after the step. Inputs are not validated, and
     the caller holds np.errstate so that an overflow surfaces as the
     DivergenceError raised here, not as a warning.
+
+    The same step advances B members at once when estimate, e and gains
+    (a StackedGains) carry a leading member axis. Each measurement array
+    then has that axis too or is shared by every member. Every formula
+    broadcasts over the member axis, so a member equals its own one-member
+    step (to the rounding of np.sin and np.cos, see _exp_coefficients). If
+    the update leaves the finite range, the DivergenceError's members marks
+    the members at fault.
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, y = measurement
+    stacked = e.ndim == 3
     psi = adaptation_gain(e, gains.k_p)
     s_omega, s_v = _innovation_sums(r_hat, y, gains, e)
     if implicit:
@@ -380,23 +457,33 @@ def _step_raw(
     vel_dt = (v_m - b_v_hat - w_v) * dt
     # The squared-angle check also catches finite twists whose square
     # overflows inside the exponential.
-    if not (math.isfinite(float(omega_dt @ omega_dt)) and np.isfinite(vel_dt).all()):
-        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
+    _check_finite(
+        "correction terms overflowed", stacked, _dot_rows(omega_dt, omega_dt), vel_dt
+    )
 
     step_rot, step_pos = _se3_exp_raw(omega_dt, vel_dt)
     r_new = _project_raw(r_hat @ step_rot)
-    p_new = r_hat @ step_pos + p_hat
-    landmarks_new = landmarks_hat - (dt * psi)[:, None] * e
-    b_omega_new = b_omega_hat - dt * (gains.gamma @ s_omega)
-    b_v_new = b_v_hat - dt * (gains.gamma @ s_v)
-    if not (
-        np.isfinite(p_new).all()
-        and np.isfinite(landmarks_new).all()
-        and np.isfinite(b_omega_new).all()
-        and np.isfinite(b_v_new).all()
-    ):
-        raise DivergenceError("observer state overflowed; reduce dt or the gains")
+    p_new = _matvec(r_hat, step_pos) + p_hat
+    landmarks_new = landmarks_hat - (dt * psi)[..., None] * e
+    b_omega_new = b_omega_hat - dt * _matvec(gains.gamma, s_omega)
+    b_v_new = b_v_hat - dt * _matvec(gains.gamma, s_v)
+    _check_finite("observer state overflowed", stacked, p_new, landmarks_new, b_omega_new, b_v_new)
     return r_new, p_new, landmarks_new, b_omega_new, b_v_new
+
+
+def _check_finite(what: str, stacked: bool, *arrays: np.ndarray) -> None:
+    """Raise DivergenceError unless every entry of arrays is finite.
+
+    Stacked arrays carry the member axis first, and the error's members
+    marks the members with a non-finite entry in any of them.
+    """
+    for a in arrays:
+        if not np.isfinite(a).all():
+            members = None
+            if stacked:
+                finite = [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays]
+                members = ~np.logical_and.reduce(finite)
+            raise DivergenceError(f"{what}; reduce dt or the gains", members=members)
 
 
 def lyapunov_value(

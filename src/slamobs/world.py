@@ -165,19 +165,31 @@ def _sense_raw(
     u: Twist,
     bias: SensorBias,
     noise: NoiseSpec,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_m, v_m, y) measured at the true pose (rot, pos); see sense."""
-    omega_m = u.omega + bias.omega
-    if noise.sigma_omega > 0.0:
-        omega_m = omega_m + noise.sigma_omega * rng.standard_normal(3)
-    v_m = u.vel + bias.vel
-    if noise.sigma_v > 0.0:
-        v_m = v_m + noise.sigma_v * rng.standard_normal(3)
+    """(omega_m, v_m, y) measured at the true pose (rot, pos); see sense.
 
+    rng may be None when noise has no nonzero sigma.
+    """
     y = (landmarks - pos) @ rot
     if bias.landmark is not None:
         y = y + bias.landmark
+    return _add_noise_raw((u.omega + bias.omega, u.vel + bias.vel, y), noise, rng)
+
+
+def _add_noise_raw(
+    measurement: tuple, noise: NoiseSpec, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A noise-free (omega_m, v_m, y) plus this step's draws from rng.
+
+    Draws happen in sense's order (gyro, velocity, landmarks) and only for
+    nonzero sigmas.
+    """
+    omega_m, v_m, y = measurement
+    if noise.sigma_omega > 0.0:
+        omega_m = omega_m + noise.sigma_omega * rng.standard_normal(3)
+    if noise.sigma_v > 0.0:
+        v_m = v_m + noise.sigma_v * rng.standard_normal(3)
     if noise.sigma_y > 0.0:
         y = y + noise.sigma_y * rng.standard_normal(y.shape)
     return omega_m, v_m, y

@@ -31,7 +31,7 @@ from slamobs import (
     write_csv,
 )
 from slamobs import harness
-from slamobs.harness import csv_rows
+from slamobs.harness import SWEEP_AXES, csv_rows
 
 from conftest import make_compact_scenario, make_gentle_scenario
 
@@ -63,6 +63,50 @@ def noisy_knotted_scenario():
     )
     bias = SensorBias(base.bias.omega, base.bias.vel, np.linspace(-0.01, 0.01, 12).reshape(4, 3))
     return replace(base, twist_profile=TwistProfile(knots), bias=bias)
+
+
+def warm_noisy_knotted_scenario():
+    """noisy_knotted_scenario run for 1.2 s from estimates 0.15 m off per
+    coordinate: members settle at different times or not at all."""
+    base = noisy_knotted_scenario()
+    start = ObserverState(
+        base.initial_pose.rotation,
+        base.initial_pose.position,
+        base.landmarks + 0.15,
+        base.bias.omega,
+        base.bias.vel,
+    )
+    return replace(base, duration=1.2, initial_estimates=start)
+
+
+# Three or more values per sweep axis, including ones that make a member
+# settle late (k_w = 1) or never (gamma_scale = 100, sigma_y = 0.05).
+SWEEP_MEMBER_VALUES = {
+    "k_p": [0.5, 1.0, 4.0],
+    "k_w": [1.0, 2.0, 5.0],
+    "gamma_scale": [0.5, 1.0, 100.0],
+    "alpha_scale": [0.5, 1.0, 3.0],
+    "sigma_omega": [0.0, 0.02, 0.1],
+    "sigma_v": [0.0, 0.01, 0.2],
+    "sigma_y": [0.0, 0.005, 0.05],
+    "dt": [1e-3, 2e-3, 5e-4],
+}
+
+
+def assert_equals_solo_run(result, config):
+    """A sweep member against run(config): settling time and aborted step
+    exactly, final errors to 1e-12 relative (both NaN after an abort)."""
+    try:
+        records = run(config)
+    except DivergenceError as exc:
+        assert (result.settling_time, result.aborted_step) == (None, exc.step)
+        assert math.isnan(result.final_max_e) and math.isnan(result.final_max_p_err)
+        return
+    t = [r.t for r in records]
+    assert result.settling_time == settling_time(t, [r.max_e for r in records])
+    assert result.aborted_step is None
+    assert result.final_max_e == pytest.approx(records[-1].max_e, rel=1e-12, abs=0.0)
+    assert result.final_max_p_err == pytest.approx(records[-1].max_p_err, rel=1e-12, abs=0.0)
 
 
 def wide_noisy_scenario():
@@ -419,3 +463,49 @@ class TestSweep:
         assert results[0].aborted_step is not None
         assert math.isnan(results[0].final_max_e)
         assert results[0].settling_time is None
+
+    def test_bad_member_fails_before_any_step(self, monkeypatch):
+        calls = []
+        step_raw = harness._step_raw
+        monkeypatch.setattr(
+            harness, "_step_raw", lambda *args, **kw: calls.append(1) or step_raw(*args, **kw)
+        )
+        with pytest.raises(ValueError, match="k_p"):
+            sweep(make_compact_scenario(duration=0.1), "k_p", [1.0, 2.0, math.nan])
+        assert calls == []
+
+    @pytest.mark.parametrize("axis", list(SWEEP_AXES))
+    def test_members_equal_their_solo_runs(self, axis):
+        base = warm_noisy_knotted_scenario()
+        values = SWEEP_MEMBER_VALUES[axis]
+        results = sweep(base, axis, values)
+        assert [r.value for r in results] == values
+        for r in results:
+            assert_equals_solo_run(r, SWEEP_AXES[axis](base, r.value))
+
+    @pytest.mark.parametrize(
+        "axis, values, aborted",
+        [
+            ("k_w", [2.0, 1e300, 4.0], [None, 0, None]),
+            ("k_p", [0.5, 2.0, 1e3, 1e5], [None, None, 5, 4]),
+        ],
+    )
+    def test_diverging_members_abort_alone(self, axis, values, aborted):
+        base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
+        results = sweep(base, axis, values)
+        assert [r.aborted_step for r in results] == aborted
+        for r in results:
+            assert_equals_solo_run(r, SWEEP_AXES[axis](base, r.value))
+
+    def test_lone_members_run_solo(self, monkeypatch):
+        solo = []
+        solo_run = harness.run
+        monkeypatch.setattr(harness, "run", lambda config: solo.append(1) or solo_run(config))
+        base = make_compact_scenario(duration=0.05)
+        batch = [1.0 + i for i in range(harness.BATCH_MIN_MEMBERS)]
+        assert len(sweep(base, "k_p", batch)) == len(batch)
+        assert solo == []
+        # One member too few to batch, and a dt axis, whose members share no dt.
+        sweep(base, "k_p", batch[1:])
+        sweep(base, "dt", [1e-3, 2e-3, 5e-4])
+        assert len(solo) == len(batch) - 1 + 3

@@ -34,6 +34,8 @@ from slamobs import (
     so3_exp,
 )
 
+from slamobs import geometry, observer
+
 from oracles import matexp_taylor, twist_matrix
 
 SQUARE_LANDMARKS = np.array(
@@ -350,6 +352,85 @@ class TestObserverStep:
         frame = frame_from(np.full((4, 3), -1e160))
         with pytest.raises(DivergenceError):
             observer_step(state, frame, reference_gains(), 0.001)
+
+
+def _stack_members(rng):
+    """Three members for one stacked step, each with its own gains.
+
+    Member 0 has zero errors and b_omega_hat equal to its omega_m, so its
+    corrected twist is exactly zero (the small-angle coefficients). Member
+    1's r_hat is 1% off orthonormal, so the projection takes the SVD.
+    Member 2 is ordinary.
+    """
+    r = [so3_exp(rng.normal(size=3)).m for _ in range(3)]
+    r[1] = 1.01 * r[1]
+    y = rng.normal(size=(3, 4, 3))
+    omega_m, v_m = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    e = rng.normal(scale=0.3, size=(3, 4, 3))
+    e[0] = 0.0
+    b_omega = rng.normal(scale=0.05, size=(3, 3))
+    b_omega[0] = omega_m[0]
+    estimates = [
+        (r[i], rng.normal(size=3), rng.normal(size=(4, 3)), b_omega[i], rng.normal(size=3))
+        for i in range(3)
+    ]
+    gains = [
+        GainConfig(k_p=1.5, k_w=2.0, gamma=5.0, alpha=np.full(4, 0.1)),
+        GainConfig(k_p=0.5, k_w=7.0, gamma=np.diag([1.0, 2.0, 30.0]), alpha=[0.2, 0.1, 0.3, 1.0]),
+        GainConfig(k_p=4.0, k_w=0.5, gamma=80.0, alpha=np.full(4, 0.05)),
+    ]
+    return estimates, [(omega_m[i], v_m[i], y[i]) for i in range(3)], e, gains
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-measurement", "shared"])
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    def test_stacked_step_equals_member_steps(self, rng, monkeypatch, shared, implicit):
+        estimates, measurements, e, gains = _stack_members(rng)
+        if shared:
+            measurements = [measurements[1]] * 3
+            estimates[0] = (*estimates[0][:3], measurements[0][0], estimates[0][4])
+        svd_members = []
+        project_svd = geometry._project_svd
+        monkeypatch.setattr(
+            geometry, "_project_svd", lambda a: svd_members.append(a) or project_svd(a)
+        )
+        dt = 0.01
+        solo = [
+            observer._step_raw(estimates[i], measurements[i], e[i], gains[i], dt, implicit)
+            for i in range(3)
+        ]
+        assert len(svd_members) == 1
+        stacked_estimate = tuple(np.stack(parts) for parts in zip(*estimates))
+        stacked_measurement = (
+            measurements[0] if shared else tuple(np.stack(p) for p in zip(*measurements))
+        )
+        batch = observer._step_raw(
+            stacked_estimate,
+            stacked_measurement,
+            e,
+            observer.StackedGains.of(gains),
+            dt,
+            implicit,
+        )
+        assert len(svd_members) == 2
+        for i in range(3):
+            for got, want in zip(batch, solo[i]):
+                assert got[i].shape == want.shape
+                assert np.abs(got[i] - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_diverging_member_is_marked(self, rng):
+        estimates, measurements, e, gains = _stack_members(rng)
+        e[2] = 1e160
+        stacked_estimate = tuple(np.stack(parts) for parts in zip(*estimates))
+        stacked_measurement = tuple(np.stack(p) for p in zip(*measurements))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                observer._step_raw(
+                    stacked_estimate, stacked_measurement, e,
+                    observer.StackedGains.of(gains), 0.01, True,
+                )
+        assert info.value.members.tolist() == [False, False, True]
 
 
 class TestDiagnostics:
