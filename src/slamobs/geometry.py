@@ -5,6 +5,14 @@ exponential maps (Rodrigues plus the left Jacobian for the translation part),
 the normalized rotation distance, and a polar re-orthonormalization used to
 repair drift after long chains of products.
 
+The step kernels come in two shapes. One pose's exponential, 3x3 product
+and projection (_exp_floats, _mul3, _affine3, _project_rows) run on Python
+floats, rows of a matrix as tuples, because numpy's per-call overhead costs
+far more than 3x3 arithmetic; the public functions here call them too. The
+stacked forms (_se3_exp_raw, _matmul, _matvec, _project_raw) advance many
+poses on a leading axis and take the float kernels' operations in the same
+order, so each pose gets the bits of its float kernel.
+
 Everything here is a pure function over immutable values; there is no shared
 state and all operations are safe to call concurrently.
 """
@@ -142,14 +150,6 @@ class Pose:
 
 def _hat_raw(v: np.ndarray) -> np.ndarray:
     """hat3 of one 3-vector, or of 3-vectors stacked on a leading axis."""
-    if v.ndim == 1:
-        return np.array(
-            [
-                [0.0, -v[2], v[1]],
-                [v[2], 0.0, -v[0]],
-                [-v[1], v[0], 0.0],
-            ]
-        )
     k = np.zeros((*v.shape, 3))
     k[..., 0, 1] = -v[..., 2]
     k[..., 0, 2] = v[..., 1]
@@ -176,59 +176,85 @@ def vee3(s) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _exp_coefficients(omega_dt: np.ndarray):
+def _exp_coefficients(theta_sq: float) -> tuple[float, float, float]:
     """Rodrigues and left-Jacobian coefficients (sin t / t, (1 - cos t) / t^2,
-    (t - sin t) / t^3) of the rotation vector omega_dt, t = ||omega_dt||, with
-    second-order Taylor fallbacks below SMALL_ANGLE.
+    (t - sin t) / t^3) of one rotation angle t, given t^2 as a Python float,
+    with second-order Taylor fallbacks below SMALL_ANGLE."""
+    if theta_sq < SMALL_ANGLE * SMALL_ANGLE:
+        return 1.0 - theta_sq / 6.0, 0.5 - theta_sq / 24.0, 1.0 / 6.0 - theta_sq / 120.0
+    theta = math.sqrt(theta_sq)
+    s = math.sin(theta)
+    return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
 
-    One vector gives Python floats through math. Vectors stacked on a leading
-    member axis give one (B, 1, 1) array per coefficient, which broadcasts
-    against the stacked 3x3 matrices; np.sin and np.cos may round differently
-    from math.sin and math.cos, so a member can differ from its one-vector
-    coefficients in the last bits.
+
+def _exp_floats(w, v) -> tuple[tuple, tuple]:
+    """(rotation rows, translation) of the rigid exponential of one twist.
+
+    w is the rotation vector and v the translation, each three Python
+    floats; the result is on Python floats too. With K = hat3(w),
+    K^2 = w w^T - ||w||^2 I, the rotation is I + a K + b K^2 and the
+    translation (I + b K + c K^2) v, (a, b, c) from _exp_coefficients.
     """
-    if omega_dt.ndim == 1:
-        theta_sq = float(omega_dt @ omega_dt)
-        if theta_sq < SMALL_ANGLE * SMALL_ANGLE:
-            return (
-                1.0 - theta_sq / 6.0,
-                0.5 - theta_sq / 24.0,
-                1.0 / 6.0 - theta_sq / 120.0,
-            )
-        theta = math.sqrt(theta_sq)
-        s = math.sin(theta)
-        return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
-    theta_sq = _dot_rows(omega_dt, omega_dt)
+    w0, w1, w2 = w
+    v0, v1, v2 = v
+    theta_sq = w0 * w0 + w1 * w1 + w2 * w2
+    a, b, c = _exp_coefficients(theta_sq)
+    k00, k11, k22 = w0 * w0 - theta_sq, w1 * w1 - theta_sq, w2 * w2 - theta_sq
+    k01, k02, k12 = w0 * w1, w0 * w2, w1 * w2
+    rot = (
+        (1.0 + b * k00, -a * w2 + b * k01, a * w1 + b * k02),
+        (a * w2 + b * k01, 1.0 + b * k11, -a * w0 + b * k12),
+        (-a * w1 + b * k02, a * w0 + b * k12, 1.0 + b * k22),
+    )
+    j00, j01, j02 = 1.0 + c * k00, -b * w2 + c * k01, b * w1 + c * k02
+    j10, j11, j12 = b * w2 + c * k01, 1.0 + c * k11, -b * w0 + c * k12
+    j20, j21, j22 = -b * w1 + c * k02, b * w0 + c * k12, 1.0 + c * k22
+    return rot, (
+        j00 * v0 + j01 * v1 + j02 * v2,
+        j10 * v0 + j11 * v1 + j12 * v2,
+        j20 * v0 + j21 * v1 + j22 * v2,
+    )
+
+
+def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_exp_floats of twists stacked on a leading member axis, on arrays.
+
+    Every entry takes _exp_floats' operations in its order, and np.sin and
+    np.cos return math.sin's and math.cos's bits on the platforms measured,
+    so a member equals its _exp_floats.
+    """
+    theta_sq = _sq_norms(omega_dt)
     small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
     # Small angles take the series; 1.0 only keeps their unused closed form finite.
     theta_sq_safe = np.where(small, 1.0, theta_sq)
     theta = np.sqrt(theta_sq_safe)
     s = np.sin(theta)
-    coefficients = (
-        np.where(small, 1.0 - theta_sq / 6.0, s / theta),
-        np.where(small, 0.5 - theta_sq / 24.0, (1.0 - np.cos(theta)) / theta_sq_safe),
-        np.where(small, 1.0 / 6.0 - theta_sq / 120.0, (theta - s) / (theta_sq_safe * theta)),
+    a, b, c = (
+        x[:, None, None]
+        for x in (
+            np.where(small, 1.0 - theta_sq / 6.0, s / theta),
+            np.where(small, 0.5 - theta_sq / 24.0, (1.0 - np.cos(theta)) / theta_sq_safe),
+            np.where(small, 1.0 / 6.0 - theta_sq / 120.0, (theta - s) / (theta_sq_safe * theta)),
+        )
     )
-    return tuple(x[:, None, None] for x in coefficients)
-
-
-def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) of the rigid exponential, no validation.
-
-    omega_dt and vel_dt are one twist or twists stacked on a leading axis.
-    """
-    a, b, c = _exp_coefficients(omega_dt)
     k = _hat_raw(omega_dt)
-    k2 = k @ k
+    k2 = omega_dt[:, :, None] * omega_dt[:, None, :] - theta_sq[:, None, None] * _EYE3
     rot = _EYE3 + a * k + b * k2
     jac = _EYE3 + b * k + c * k2
     return rot, _matvec(jac, vel_dt)
 
 
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared norms of 3-vectors stacked on leading axes, summed left to
+    right as _exp_floats sums them."""
+    q = v * v
+    return q[..., 0] + q[..., 1] + q[..., 2]
+
+
 def so3_exp(omega_dt) -> Rotation3:
     """Rotation by the angle-axis vector omega_dt (Rodrigues formula)."""
     w = _as_vec3(omega_dt, "omega_dt")
-    return Rotation3(_se3_exp_raw(w, np.zeros(3))[0])
+    return Rotation3(np.array(_exp_floats(w.tolist(), (0.0, 0.0, 0.0))[0]))
 
 
 def se3_exp(u: Twist, dt: float) -> Pose:
@@ -240,8 +266,8 @@ def se3_exp(u: Twist, dt: float) -> Pose:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    rot, pos = _se3_exp_raw(u.omega * dt, u.vel * dt)
-    return Pose(Rotation3(rot), pos)
+    rot, pos = _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
+    return Pose(Rotation3(np.array(rot)), np.array(pos))
 
 
 def rotation_distance(r: Rotation3) -> float:
@@ -271,14 +297,20 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for matrices and vectors stacked on matching leading axes.
+    """m @ v for 3x3 matrices and 3-vectors stacked on leading axes.
 
-    numpy computes both a 1-D and an (..., 3, 1) right operand as a
-    matrix-vector product, so each result has the bits of the unstacked m @ v.
+    The products are summed left to right, as _affine3 and the other float
+    kernels sum them on Python floats; numpy's matmul rounds differently.
     """
-    if v.ndim == 1:
-        return m @ v
-    return (m @ v[..., None])[..., 0]
+    p = m * v[..., None, :]
+    return p[..., 0] + p[..., 1] + p[..., 2]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 3x3 matrices stacked on leading axes, the products summed
+    left to right as _mul3 sums them on Python floats."""
+    p = a[..., :, :, None] * b[..., None, :, :]
+    return p[..., 0, :] + p[..., 1, :] + p[..., 2, :]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -286,20 +318,75 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot_rows(x, x))
 
 
-def _project_raw(a: np.ndarray) -> np.ndarray:
-    """Polar projection without input validation; see project_orthonormal.
+def _mul3(a, b) -> tuple:
+    """a @ b of two 3x3 matrices given as rows of Python floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+    )
 
-    a is one matrix or matrices stacked on a leading member axis. A stack
-    takes the series for all members at once, then recomputes every member
-    outside the series' domain alone through the SVD.
+
+def _affine3(a, v, p) -> tuple:
+    """a @ v + p for a 3x3 matrix a given as rows and 3-vectors v, p, on
+    Python floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    v0, v1, v2 = v
+    p0, p1, p2 = p
+    return (
+        a00 * v0 + a01 * v1 + a02 * v2 + p0,
+        a10 * v0 + a11 * v1 + a12 * v2 + p1,
+        a20 * v0 + a21 * v1 + a22 * v2 + p2,
+    )
+
+
+def _project_rows(a) -> tuple:
+    """Polar projection of one 3x3 matrix given as rows of Python floats.
+
+    The rows of a rotation, on Python floats. Inputs within 1e-5 of
+    orthonormal with a positive determinant take the series
+    a (I - E / 2 + 3 E^2 / 8), E = a^T a - I, whose error is
+    O(||E||^3) <= 1e-15; any other goes through _project_svd.
     """
-    e = a.swapaxes(-1, -2) @ a - _EYE3
-    # Polar factor a (a^T a)^(-1/2) via series; error is O(||E||^3) <= 1e-15.
-    if a.ndim == 2:
-        if np.abs(e).max() < 1e-5 and _det3(a) > 0.0:
-            return a @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
-        return _project_svd(a)
-    out = a @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    e00 = a00 * a00 + a10 * a10 + a20 * a20 - 1.0
+    e11 = a01 * a01 + a11 * a11 + a21 * a21 - 1.0
+    e22 = a02 * a02 + a12 * a12 + a22 * a22 - 1.0
+    e01 = a00 * a01 + a10 * a11 + a20 * a21
+    e02 = a00 * a02 + a10 * a12 + a20 * a22
+    e12 = a01 * a02 + a11 * a12 + a21 * a22
+    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (
+        a10 * a21 - a11 * a20
+    )
+    # A NaN entry fails these comparisons, as it fails np.abs(e).max() < 1e-5.
+    if not (
+        -1e-5 < e00 < 1e-5 and -1e-5 < e11 < 1e-5 and -1e-5 < e22 < 1e-5
+        and -1e-5 < e01 < 1e-5 and -1e-5 < e02 < 1e-5 and -1e-5 < e12 < 1e-5 and det > 0.0
+    ):
+        return _project_svd(np.array(a)).tolist()
+    s00 = 1.0 - 0.5 * e00 + 0.375 * (e00 * e00 + e01 * e01 + e02 * e02)
+    s11 = 1.0 - 0.5 * e11 + 0.375 * (e01 * e01 + e11 * e11 + e12 * e12)
+    s22 = 1.0 - 0.5 * e22 + 0.375 * (e02 * e02 + e12 * e12 + e22 * e22)
+    s01 = -0.5 * e01 + 0.375 * (e00 * e01 + e01 * e11 + e02 * e12)
+    s02 = -0.5 * e02 + 0.375 * (e00 * e02 + e01 * e12 + e02 * e22)
+    s12 = -0.5 * e12 + 0.375 * (e01 * e02 + e11 * e12 + e12 * e22)
+    return _mul3(a, ((s00, s01, s02), (s01, s11, s12), (s02, s12, s22)))
+
+
+def _project_raw(a: np.ndarray) -> np.ndarray:
+    """_project_rows of matrices stacked on a leading member axis, on arrays.
+
+    Every entry takes _project_rows' operations in its order, so a member
+    equals its _project_rows. The series runs for all members at once;
+    every member outside its domain is then recomputed alone through the SVD.
+    """
+    e = _matmul(a.swapaxes(-1, -2), a) - _EYE3
+    out = _matmul(a, _EYE3 - 0.5 * e + 0.375 * _matmul(e, e))
     series = (np.abs(e).max(axis=(-2, -1)) < 1e-5) & (_det3(a) > 0.0)
     for i in np.flatnonzero(~series):
         out[i] = _project_svd(a[i])
@@ -330,4 +417,4 @@ def project_orthonormal(m) -> Rotation3:
         raise ValueError(f"matrix must be 3x3, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
-    return Rotation3(_project_raw(a))
+    return Rotation3(np.array(_project_rows(a.tolist())))

@@ -10,7 +10,11 @@ run and trajectory share one loop (_steps) over raw float64 arrays. It
 calls the same raw helpers that observer_step, true_step and sense wrap,
 forms the landmark errors once per step for both the metrics and the
 update, and takes the truth from _truth, which computes the pose increment
-once per twist knot.
+once per twist knot. Inside those helpers the work splits by the kind of
+data: each formula over the landmark axis is one numpy call, shared with the
+batched sweep, and the 3-vector and 3x3 algebra of the observer and the
+truth runs on Python floats, where numpy's call overhead would cost more
+than the arithmetic.
 trajectory wraps every step into a StepSnapshot. run builds no value types
 per step: it copies each recorded step's arrays into buffers of
 RECORD_CHUNK records and computes every metric column of a full buffer at

@@ -24,6 +24,15 @@ literal discretization of the continuous law; the scenario runner
 (harness.trajectory) steps with the implicit one. The rotation estimate is
 re-projected onto the orthonormal manifold after every update.
 
+The step splits by the kind of data. Each formula over the landmark axis
+(the errors, the adaptation gains and landmark update, and one alpha-weighted
+moment product behind the innovation sums and the implicit solve) is one
+broadcasting numpy function, shared by one observer and by observers stacked
+on a leading member axis. The 3-vector and 3x3 algebra (the feedback solve,
+the corrected twist, the exponential, the projection, the position and bias
+updates) runs on Python floats for one observer and on arrays, operation for
+operation, for a stack, so a stacked member has its solo step's bits.
+
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
 
@@ -42,11 +51,17 @@ import numpy as np
 
 from .geometry import (
     Rotation3,
+    _affine3,
     _as_vec3,
     _dot_rows,
+    _exp_floats,
+    _matmul,
     _matvec,
+    _mul3,
     _project_raw,
+    _project_rows,
     _se3_exp_raw,
+    _sq_norms,
     _trusted,
     hat3,
 )
@@ -268,25 +283,25 @@ def _errors_raw(
     return landmarks_hat - (y @ r_hat.swapaxes(-1, -2) + p_hat[..., None, :])
 
 
-def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross products a_i x b_i; a may omit b's leading axes."""
-    out = np.empty_like(b)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
-def _innovation_sums(
+def _landmark_moments(
     r_hat: np.ndarray, y: np.ndarray, gains: GainConfig, e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-landmark sums shared by the corrections and the bias adaptation.
+) -> np.ndarray:
+    """The alpha-weighted moments of the landmark rows, one (4, 7) matrix.
 
-    Returns (sum_i [y_i]_x R_hat^T e_i / alpha_i, sum_i R_hat^T e_i / alpha_i),
-    per member when the arguments are stacked (see _step_raw).
+    With the body-frame errors R_hat^T e_i and the rows
+    z_i = (y_i, 1, R_hat^T e_i), this is sum_i z_i[:4] z_i^T / alpha_i:
+    - columns 0-3 are the Gram matrix [[S2, m], [m^T, sum_i 1/alpha_i]] of
+      the implicit solve, S2 = sum_i y_i y_i^T / alpha_i, m = sum_i y_i / alpha_i;
+    - columns 4-6 hold G = sum_i y_i u_i^T in rows 0-2 and sum_i u_i in
+      row 3, u_i = R_hat^T e_i / alpha_i, whence the innovation sums.
+    It is the one product over the landmark axis behind both sums, for one
+    member and, stacked on a leading axis (see _step_raw), for many.
     """
-    u = (e @ r_hat) / gains.alpha[..., None]
-    return _row_cross(y, u).sum(axis=-2), u.sum(axis=-2)
+    z = np.empty((*e.shape[:-1], 7))
+    z[..., :3] = y
+    z[..., 3] = 1.0
+    z[..., 4:] = e @ r_hat
+    return (z[..., :4].swapaxes(-1, -2) / gains.alpha[..., None, :]) @ z
 
 
 def correction_terms(
@@ -298,19 +313,23 @@ def correction_terms(
         raise ValueError(
             f"gains carry {gains.count} alpha values, observer tracks {state.count}"
         )
-    s_omega, s_v = _innovation_sums(state.r_hat.m, frame.y, gains, e)
-    return -gains.k_w * s_omega, -gains.k_w * s_v
+    moments = _landmark_moments(state.r_hat.m, frame.y, gains, e)
+    s_omega, s_v = _feedback_sums(moments.tolist(), None)
+    return -gains.k_w * np.array(s_omega), -gains.k_w * np.array(s_v)
 
 
-def _implicit_sums(
-    y: np.ndarray, gains: GainConfig, dt: float, s_omega: np.ndarray, s_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation sums after the implicit feedback: solves (I + c M) s_bar = s.
+def _feedback_sums(moments, c) -> tuple[tuple, tuple]:
+    """The innovation sums (s_omega, s_v) fed back into the step.
 
-    Here c = dt k_w and M = sum_i A_i^T A_i / alpha_i with A_i = [[y_i]_x, -I],
-    the Jacobian of the sums with respect to the feedback twist. M has the
-    closed form [[tr(S2) I - S2, [m]_x], [-[m]_x, (sum_i 1/alpha_i) I]] with
-    S2 = sum_i y_i y_i^T / alpha_i and m = sum_i y_i / alpha_i. Eliminating
+    moments holds the entries of _landmark_moments. The explicit scheme
+    (c None) feeds back s_omega = sum_i y_i x u_i, the antisymmetric part
+    of G: (G12 - G21, G20 - G02, G01 - G10), and s_v = sum_i u_i.
+
+    The implicit scheme (c = dt k_w) feeds back their solution of
+    (I + c M) s_bar = s. M = sum_i A_i^T A_i / alpha_i with
+    A_i = [[y_i]_x, -I] is the Jacobian of the sums with respect to the
+    feedback twist, with the closed form
+    [[tr(S2) I - S2, [m]_x], [-[m]_x, (sum_i 1/alpha_i) I]]. Eliminating
     the velocity block, whose diagonal is d I with d = 1 + c sum_i 1/alpha_i,
     leaves the SPD system K s_bar_omega = s_omega - (c/d) m x s_v with
     K = (1 + c tr(S2) - (c^2/d) ||m||^2) I - c S2 + (c^2/d) m m^T, solved by
@@ -318,33 +337,20 @@ def _implicit_sums(
     innovation sum of the body-frame errors R_hat^T e_i + c A_i s_bar, that
     is, of the errors after the feedback alone with the y_i held fixed.
 
-    The body below is elementwise. For one member it runs on Python floats;
-    for members stacked on a leading axis (see _step_raw) it runs unchanged
-    on (B, 1) columns, with the same bits per member.
+    The body is elementwise. For one member moments is the nested list of
+    Python floats and so are the results, two 3-tuples; for members stacked
+    on a leading axis each entry is a (B, 1) column, which broadcasts like
+    c, and so is each result, with the same bits per member.
     """
-    c = dt * gains.k_w
-    # One product gives S2, m and sum_i 1 / alpha_i: the alpha-weighted Gram
-    # matrix of the rows (y_i, 1).
-    y1 = np.empty((*y.shape[:-1], 4))
-    y1[..., :3] = y
-    y1[..., 3] = 1.0
-    gram = (y1.swapaxes(-1, -2) / gains.alpha[..., None, :]) @ y1
-    stacked = s_omega.ndim > 1
-    if stacked:
-        # Contiguous (B, 1) columns, which broadcast like c and are the
-        # fastest small arrays for numpy's elementwise loops.
-        gram = gram.transpose(1, 2, 0)[..., None].copy()
-        s_omega, s_v = s_omega.T[..., None].copy(), s_v.T[..., None].copy()
-    else:
-        gram, s_omega, s_v = gram.tolist(), s_omega.tolist(), s_v.tolist()
     (
-        (a00, a01, a02, m0),
-        (_, a11, a12, m1),
-        (_, _, a22, m2),
-        (_, _, _, inv_alpha_sum),
-    ) = gram
-    w0, w1, w2 = s_omega
-    v0, v1, v2 = s_v
+        (a00, a01, a02, m0, g00, g01, g02),
+        (_, a11, a12, m1, g10, g11, g12),
+        (_, _, a22, m2, g20, g21, g22),
+        (_, _, _, inv_alpha_sum, v0, v1, v2),
+    ) = moments
+    w0, w1, w2 = g12 - g21, g20 - g02, g01 - g10
+    if c is None:
+        return (w0, w1, w2), (v0, v1, v2)
     d = 1.0 + c * inv_alpha_sum
     q = c * c / d
     diag = 1.0 + c * (a00 + a11 + a22) - q * (m0 * m0 + m1 * m1 + m2 * m2)
@@ -368,15 +374,11 @@ def _implicit_sums(
     x0 = (c00 * r0 + c01 * r1 + c02 * r2) * inv_det
     x1 = (c01 * r0 + c11 * r1 + c12 * r2) * inv_det
     x2 = (c02 * r0 + c12 * r1 + c22 * r2) * inv_det
-    x = (x0, x1, x2)
-    v = (
+    return (x0, x1, x2), (
         (v0 + c * (m1 * x2 - m2 * x1)) / d,
         (v1 + c * (m2 * x0 - m0 * x2)) / d,
         (v2 + c * (m0 * x1 - m1 * x0)) / d,
     )
-    if stacked:
-        return np.concatenate(x, axis=-1), np.concatenate(v, axis=-1)
-    return np.array(x), np.array(v)
 
 
 def observer_step(
@@ -393,7 +395,7 @@ def observer_step(
     gain, and the bias estimates integrate the matrix-gain-weighted sums.
     scheme "explicit" feeds back the sums of the pre-update errors;
     "implicit" feeds back their implicit-Euler filtered values (see
-    _implicit_sums), the same sums in both the twist and the bias update.
+    _feedback_sums), the same sums in both the twist and the bias update.
     The explicit default is stable only below dt ~ 2 / (k_w / alpha *
     sum_i ||y_i||^2), about 6e-5 s on the reference scenario; the scenario
     runner uses "implicit". A DivergenceError signals that the update left
@@ -437,54 +439,103 @@ def _step_raw(
 
     The same step advances B members at once when estimate, e and gains
     (a StackedGains) carry a leading member axis. Each measurement array
-    then has that axis too or is shared by every member. Every formula
-    broadcasts over the member axis, so a member equals its own one-member
-    step (to the rounding of np.sin and np.cos, see _exp_coefficients). If
-    the update leaves the finite range, the DivergenceError's members marks
+    then has that axis too or is shared by every member. The formulas over
+    the landmark axis (the errors' gains and update, the innovation sums and
+    the implicit solve's Gram product) are one broadcasting numpy function
+    each. The pose and bias update of one member runs on Python floats
+    (_member_update), where numpy's call overhead would cost more than its
+    3-vector and 3x3 arithmetic; a stack runs the matrix forms
+    (_stacked_update), which take the float kernels' operations in their
+    order, so a member gets the bits of its own one-member step. If the
+    update leaves the finite range, a stacked step's DivergenceError marks
     the members at fault.
     """
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, y = measurement
-    stacked = e.ndim == 3
-    psi = adaptation_gain(e, gains.k_p)
-    s_omega, s_v = _innovation_sums(r_hat, y, gains, e)
-    if implicit:
-        s_omega, s_v = _implicit_sums(y, gains, dt, s_omega, s_v)
+    moments = _landmark_moments(estimate[0], measurement[2], gains, e)
+    landmarks_new = estimate[2] - (dt * adaptation_gain(e, gains.k_p))[..., None] * e
+    c = dt * gains.k_w if implicit else None
+    if e.ndim == 3:
+        # Contiguous (B, 1) columns, which broadcast like c and are the
+        # fastest small arrays for numpy's elementwise loops.
+        sums = _feedback_sums(moments.transpose(1, 2, 0)[..., None].copy(), c)
+        return _stacked_update(estimate, measurement, gains, dt, sums, landmarks_new)
+    try:
+        sums = _feedback_sums(moments.tolist(), c)
+        return _member_update(estimate, measurement, gains, dt, sums, landmarks_new)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        # Python floats raise where numpy would return inf or NaN.
+        raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
 
+
+def _member_update(estimate, measurement, gains, dt, sums, landmarks_new) -> tuple:
+    """The pose and bias part of one member's _step_raw, on Python floats.
+
+    Each formula is _stacked_update's for one member, written out on
+    floats; sums are _feedback_sums' and the landmark update arrives
+    computed. Returns the new estimate as arrays.
+    """
+    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
+    omega_m, v_m, _ = measurement
+    s_omega, s_v = sums
+    # w = -k_w s is the innovation term subtracted from the measured velocity.
+    minus_k_w = -gains.k_w
+    b_omega, b_v = b_omega_hat.tolist(), b_v_hat.tolist()
+    omega_dt = [
+        (m - b - minus_k_w * s) * dt for m, b, s in zip(omega_m.tolist(), b_omega, s_omega)
+    ]
+    vel_dt = [(m - b - minus_k_w * s) * dt for m, b, s in zip(v_m.tolist(), b_v, s_v)]
+    w0, w1, w2 = omega_dt
+    # The squared-angle check also catches finite twists whose square
+    # overflows inside the exponential.
+    if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, *vel_dt))):
+        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
+
+    step_rot, step_pos = _exp_floats(omega_dt, vel_dt)
+    r = r_hat.tolist()
+    r_new = _project_rows(_mul3(r, step_rot))
+    p_new = _affine3(r, step_pos, p_hat.tolist())
+    gamma = gains.gamma.tolist()
+    b_omega_new = [b - dt * (g0 * s_omega[0] + g1 * s_omega[1] + g2 * s_omega[2])
+                   for b, (g0, g1, g2) in zip(b_omega, gamma)]
+    b_v_new = [b - dt * (g0 * s_v[0] + g1 * s_v[1] + g2 * s_v[2])
+               for b, (g0, g1, g2) in zip(b_v, gamma)]
+    if not (
+        all(map(math.isfinite, (*p_new, *b_omega_new, *b_v_new)))
+        and np.isfinite(landmarks_new).all()
+    ):
+        raise DivergenceError("observer state overflowed; reduce dt or the gains")
+    return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
+
+
+def _stacked_update(estimate, measurement, gains, dt, sums, landmarks_new) -> tuple:
+    """The pose and bias part of _step_raw for members stacked on a leading
+    axis: _member_update's formulas on arrays, entry by entry in its order."""
+    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
+    omega_m, v_m, _ = measurement
+    s_omega, s_v = (np.concatenate(s, axis=-1) for s in sums)
     w_omega = -gains.k_w * s_omega
     w_v = -gains.k_w * s_v
     omega_dt = (omega_m - b_omega_hat - w_omega) * dt
     vel_dt = (v_m - b_v_hat - w_v) * dt
-    # The squared-angle check also catches finite twists whose square
-    # overflows inside the exponential.
-    _check_finite(
-        "correction terms overflowed", stacked, _dot_rows(omega_dt, omega_dt), vel_dt
-    )
+    _check_finite("correction terms overflowed", _sq_norms(omega_dt), vel_dt)
 
     step_rot, step_pos = _se3_exp_raw(omega_dt, vel_dt)
-    r_new = _project_raw(r_hat @ step_rot)
+    r_new = _project_raw(_matmul(r_hat, step_rot))
     p_new = _matvec(r_hat, step_pos) + p_hat
-    landmarks_new = landmarks_hat - (dt * psi)[..., None] * e
     b_omega_new = b_omega_hat - dt * _matvec(gains.gamma, s_omega)
     b_v_new = b_v_hat - dt * _matvec(gains.gamma, s_v)
-    _check_finite("observer state overflowed", stacked, p_new, landmarks_new, b_omega_new, b_v_new)
+    _check_finite("observer state overflowed", p_new, landmarks_new, b_omega_new, b_v_new)
     return r_new, p_new, landmarks_new, b_omega_new, b_v_new
 
 
-def _check_finite(what: str, stacked: bool, *arrays: np.ndarray) -> None:
-    """Raise DivergenceError unless every entry of arrays is finite.
-
-    Stacked arrays carry the member axis first, and the error's members
-    marks the members with a non-finite entry in any of them. A scalar
-    (np.float64 is a float) goes through math.isfinite, which is far faster
-    on one number than np.isfinite.
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise DivergenceError unless every entry of the stacked arrays is
+    finite; its members marks the members with a non-finite entry in any of
+    them. Each array carries the member axis first.
     """
     for a in arrays:
-        if not (math.isfinite(a) if isinstance(a, float) else np.isfinite(a).all()):
-            members = None
-            if stacked:
-                finite = [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays]
-                members = ~np.logical_and.reduce(finite)
+        if not np.isfinite(a).all():
+            finite = [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays]
+            members = ~np.logical_and.reduce(finite)
             raise DivergenceError(f"{what}; reduce dt or the gains", members=members)
 
 

@@ -21,10 +21,12 @@ from .geometry import (
     Pose,
     Rotation3,
     Twist,
+    _affine3,
     _as_rows3,
     _as_vec3,
-    _project_raw,
-    _se3_exp_raw,
+    _exp_floats,
+    _mul3,
+    _project_rows,
     _trusted,
 )
 
@@ -132,16 +134,21 @@ class SensorFrame:
         return self.y.shape[0]
 
 
-def _increment_raw(u: Twist, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) of holding the twist u constant over dt."""
-    return _se3_exp_raw(u.omega * dt, u.vel * dt)
+def _increment_raw(u: Twist, dt: float) -> tuple[tuple, tuple]:
+    """(rotation rows, translation) of holding the twist u constant over dt,
+    on Python floats."""
+    return _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
 
 
 def _true_step_raw(
-    rot: np.ndarray, pos: np.ndarray, step_rot: np.ndarray, step_pos: np.ndarray
+    rot: np.ndarray, pos: np.ndarray, step_rot: tuple, step_pos: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a pose increment to the true (rotation, position), re-projecting."""
-    return _project_raw(rot @ step_rot), rot @ step_pos + pos
+    """Apply a pose increment (see _increment_raw) to the true (rotation,
+    position), re-projecting; the arithmetic runs on Python floats."""
+    r = rot.tolist()
+    return np.array(_project_rows(_mul3(r, step_rot))), np.array(
+        _affine3(r, step_pos, pos.tolist())
+    )
 
 
 def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:

@@ -7,8 +7,13 @@ e_i = -y_i exactly, so the cross-product sums vanish and every expected
 number reduces to plain arithmetic.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slamobs import (
     DivergenceError,
@@ -431,6 +436,102 @@ class TestStackedStep:
                     observer.StackedGains.of(gains), 0.01, True,
                 )
         assert info.value.members.tolist() == [False, False, True]
+
+
+def _member(rng, n, kind, omega_m):
+    """(estimate, e, gains) of one member with n landmarks for one step.
+
+    "small" has zero errors and b_omega_hat within 1e-9 rad/s of omega_m,
+    so that at dt = 0.01 its corrected twist angle lies below SMALL_ANGLE
+    (the series coefficients); "svd" has an r_hat 1% off orthonormal, so
+    that the projection takes the SVD; "ordinary" has neither.
+    """
+    r = so3_exp(rng.normal(size=3)).m
+    if kind == "svd":
+        r = 1.01 * r
+    e = rng.normal(scale=0.3, size=(n, 3))
+    b_omega = rng.normal(scale=0.05, size=3)
+    if kind == "small":
+        e[:] = 0.0
+        b_omega = omega_m + rng.normal(scale=1e-9, size=3)
+    estimate = (r, rng.normal(size=3), rng.normal(size=(n, 3)), b_omega, rng.normal(size=3))
+    m = rng.normal(size=(3, 3))
+    gains = GainConfig(
+        k_p=rng.uniform(0.5, 4.0),
+        k_w=rng.uniform(0.5, 7.0),
+        gamma=m @ m.T + np.eye(3),
+        alpha=rng.uniform(0.05, 1.0, n),
+    )
+    return estimate, e, gains
+
+
+class TestMemberStepProperty:
+    # One member's step runs its pose and bias algebra on Python floats, a
+    # stack runs it on arrays; both must give the member the same update.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 30),
+        kinds=st.lists(st.sampled_from(["small", "svd", "ordinary"]), min_size=3, max_size=3),
+        implicit=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_member_step_equals_its_member_in_a_stack(self, n, kinds, implicit, shared, seed):
+        rng = np.random.default_rng(seed)
+        measurements = [
+            (rng.normal(size=3), rng.normal(size=3), rng.normal(size=(n, 3))) for _ in range(3)
+        ]
+        if shared:
+            measurements = [measurements[0]] * 3
+        members = [_member(rng, n, kind, m[0]) for kind, m in zip(kinds, measurements)]
+        dt = 0.01
+        solo = [
+            observer._step_raw(estimate, m, e, gains, dt, implicit)
+            for (estimate, e, gains), m in zip(members, measurements)
+        ]
+        estimates, errors, gains = zip(*members)
+        batch = observer._step_raw(
+            tuple(np.stack(parts) for parts in zip(*estimates)),
+            measurements[0] if shared else tuple(np.stack(p) for p in zip(*measurements)),
+            np.stack(errors),
+            observer.StackedGains.of(list(gains)),
+            dt,
+            implicit,
+        )
+        for i in range(3):
+            for got, want in zip(batch, solo[i]):
+                assert got[i].shape == want.shape
+                assert np.abs(got[i] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestMemberDivergence:
+    @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
+    @pytest.mark.parametrize("case", ["errors-1e160", "k_w-1e300", "twist-square-overflow"])
+    def test_overflow_raises_divergence_error_only(self, rng, case, implicit):
+        estimates, measurements, e, gains = _stack_members(rng)
+        estimate, measurement, e, gains = estimates[2], measurements[2], e[2], gains[2]
+        if case == "errors-1e160":
+            e = np.full_like(e, 1e160)
+        elif case == "k_w-1e300":
+            gains = replace(gains, k_w=1e300)
+        else:
+            # Finite, but its squared angle overflows at dt = 0.01.
+            measurement = (np.array([1e160, 0.0, 0.0]), *measurement[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError):
+                    observer._step_raw(estimate, measurement, e, gains, 0.01, implicit)
+
+    def test_float_exception_surfaces_as_divergence_error(self, rng, monkeypatch):
+        def overflow(*_):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(observer, "_exp_floats", overflow)
+        estimates, measurements, e, gains = _stack_members(rng)
+        with pytest.raises(DivergenceError) as info:
+            observer._step_raw(estimates[2], measurements[2], e[2], gains[2], 0.01, True)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 class TestDiagnostics:
