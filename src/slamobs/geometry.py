@@ -219,9 +219,10 @@ def _exp_floats(w, v) -> tuple[tuple, tuple]:
 def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_exp_floats of twists stacked on a leading member axis, on arrays.
 
-    Every entry takes _exp_floats' operations in its order, and np.sin and
-    np.cos return math.sin's and math.cos's bits on the platforms measured,
-    so a member equals its _exp_floats.
+    Every entry takes _exp_floats' operations in its order. np.sin and
+    np.cos gave math.sin's and math.cos's bits on 400,000 sampled angles
+    with numpy 2.4 on x86-64, so there a member equals its _exp_floats;
+    where they round differently, it differs in the last bits.
     """
     theta_sq = _sq_norms(omega_dt)
     small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
@@ -346,12 +347,12 @@ def _affine3(a, v, p) -> tuple:
 
 
 def _project_rows(a) -> tuple:
-    """Polar projection of one 3x3 matrix given as rows of Python floats.
+    """Polar projection of one 3x3 matrix given as rows of Python floats,
+    without input validation (see project_orthonormal); returns the rows.
 
-    The rows of a rotation, on Python floats. Inputs within 1e-5 of
-    orthonormal with a positive determinant take the series
-    a (I - E / 2 + 3 E^2 / 8), E = a^T a - I, whose error is
-    O(||E||^3) <= 1e-15; any other goes through _project_svd.
+    Inputs within 1e-5 of orthonormal with a positive determinant take the
+    series a (I - E / 2 + 3 E^2 / 8) of a (a^T a)^(-1/2), E = a^T a - I,
+    whose error is O(||E||^3) <= 1e-15; any other goes through _project_svd.
     """
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     e00 = a00 * a00 + a10 * a10 + a20 * a20 - 1.0

@@ -74,8 +74,12 @@ RECORD_CHUNK = 1024
 
 # sweep steps the members that share dt in one batch when there are at least
 # this many, and runs smaller groups member by member through run. On
-# paper-sec5 (dt = 1e-3, 2 s) a batch took 1.77x the solo runs' time for one
-# member, 1.22x for two, 0.77x for three and 0.16x for sixteen.
+# paper-sec5 (dt = 1e-3, 2 s, k_p values) a batch took 4.0-4.4x the solo
+# runs' time for one member, 2.1x for two, 1.3-1.4x for three, 1.0-1.2x for
+# four, 0.52-0.56x for eight and 0.28-0.34x for sixteen (two measurements),
+# so batching now pays from between four and eight members. The constant
+# stays 3: raising it would move three-value sweeps, and the tests that hold
+# batched members to their solo runs, off the batched path.
 BATCH_MIN_MEMBERS = 3
 
 # Sweep axis name -> the config with that parameter set to (or, for the

@@ -444,11 +444,15 @@ def _member(rng, n, kind, omega_m):
     "small" has zero errors and b_omega_hat within 1e-9 rad/s of omega_m,
     so that at dt = 0.01 its corrected twist angle lies below SMALL_ANGLE
     (the series coefficients); "svd" has an r_hat 1% off orthonormal, so
-    that the projection takes the SVD; "ordinary" has neither.
+    that the projection takes the SVD; "near" has one about 1e-6 off, so
+    that the projection's series makes a correction above rounding;
+    "ordinary" has none of these.
     """
     r = so3_exp(rng.normal(size=3)).m
     if kind == "svd":
         r = 1.01 * r
+    elif kind == "near":
+        r = r + rng.normal(scale=1e-6, size=(3, 3))
     e = rng.normal(scale=0.3, size=(n, 3))
     b_omega = rng.normal(scale=0.05, size=3)
     if kind == "small":
@@ -471,7 +475,9 @@ class TestMemberStepProperty:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(3, 30),
-        kinds=st.lists(st.sampled_from(["small", "svd", "ordinary"]), min_size=3, max_size=3),
+        kinds=st.lists(
+            st.sampled_from(["small", "svd", "near", "ordinary"]), min_size=3, max_size=3
+        ),
         implicit=st.booleans(),
         shared=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -517,10 +523,12 @@ class TestMemberDivergence:
         else:
             # Finite, but its squared angle overflows at dt = 0.01.
             measurement = (np.array([1e160, 0.0, 0.0]), *measurement[1:])
+        # Each leaves the finite range in the corrected twist, which is
+        # checked before the exponential.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(DivergenceError):
+                with pytest.raises(DivergenceError, match="correction terms overflowed"):
                     observer._step_raw(estimate, measurement, e, gains, 0.01, implicit)
 
     def test_float_exception_surfaces_as_divergence_error(self, rng, monkeypatch):
