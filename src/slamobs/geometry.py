@@ -5,13 +5,11 @@ exponential maps (Rodrigues plus the left Jacobian for the translation part),
 the normalized rotation distance, and a polar re-orthonormalization used to
 repair drift after long chains of products.
 
-The step kernels come in two shapes. One pose's exponential, 3x3 product
-and projection (_exp_floats, _mul3, _affine3, _project_rows) run on Python
-floats, rows of a matrix as tuples, because numpy's per-call overhead costs
-far more than 3x3 arithmetic; the public functions here call them too. The
-stacked forms (_se3_exp_raw, _matmul, _matvec, _project_raw) advance many
-poses on a leading axis and take the float kernels' operations in the same
-order, so each pose gets the bits of its float kernel.
+The step kernels (the exponential, the 3x3 product and the projection:
+_exp_floats, _mul3, _affine3, _project_rows) run on Python floats, rows of
+a matrix as tuples, because numpy's per-call overhead costs far more than
+3x3 arithmetic; the public functions here call them too, and a stack of
+poses calls them once per pose.
 
 Everything here is a pure function over immutable values; there is no shared
 state and all operations are safe to call concurrently.
@@ -70,10 +68,9 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _det3(m: np.ndarray):
-    """Determinant of one 3x3 matrix, a float, or of matrices stacked on a
-    leading axis, an array."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
+def _det3(m: np.ndarray) -> float:
+    """Determinant of one 3x3 matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
@@ -148,21 +145,10 @@ class Pose:
         return Pose(r, p)
 
 
-def _hat_raw(v: np.ndarray) -> np.ndarray:
-    """hat3 of one 3-vector, or of 3-vectors stacked on a leading axis."""
-    k = np.zeros((*v.shape, 3))
-    k[..., 0, 1] = -v[..., 2]
-    k[..., 0, 2] = v[..., 1]
-    k[..., 1, 0] = v[..., 2]
-    k[..., 1, 2] = -v[..., 0]
-    k[..., 2, 0] = -v[..., 1]
-    k[..., 2, 1] = v[..., 0]
-    return k
-
-
 def hat3(v) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, so that hat3(a) @ b == cross(a, b)."""
-    return _hat_raw(_as_vec3(v, "v"))
+    x, y, z = _as_vec3(v, "v").tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def vee3(s) -> np.ndarray:
@@ -216,42 +202,6 @@ def _exp_floats(w, v) -> tuple[tuple, tuple]:
     )
 
 
-def _se3_exp_raw(omega_dt: np.ndarray, vel_dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_exp_floats of twists stacked on a leading member axis, on arrays.
-
-    Every entry takes _exp_floats' operations in its order. np.sin and
-    np.cos gave math.sin's and math.cos's bits on 400,000 sampled angles
-    with numpy 2.4 on x86-64, so there a member equals its _exp_floats;
-    where they round differently, it differs in the last bits.
-    """
-    theta_sq = _sq_norms(omega_dt)
-    small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
-    # Small angles take the series; 1.0 only keeps their unused closed form finite.
-    theta_sq_safe = np.where(small, 1.0, theta_sq)
-    theta = np.sqrt(theta_sq_safe)
-    s = np.sin(theta)
-    a, b, c = (
-        x[:, None, None]
-        for x in (
-            np.where(small, 1.0 - theta_sq / 6.0, s / theta),
-            np.where(small, 0.5 - theta_sq / 24.0, (1.0 - np.cos(theta)) / theta_sq_safe),
-            np.where(small, 1.0 / 6.0 - theta_sq / 120.0, (theta - s) / (theta_sq_safe * theta)),
-        )
-    )
-    k = _hat_raw(omega_dt)
-    k2 = omega_dt[:, :, None] * omega_dt[:, None, :] - theta_sq[:, None, None] * _EYE3
-    rot = _EYE3 + a * k + b * k2
-    jac = _EYE3 + b * k + c * k2
-    return rot, _matvec(jac, vel_dt)
-
-
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared norms of 3-vectors stacked on leading axes, summed left to
-    right as _exp_floats sums them."""
-    q = v * v
-    return q[..., 0] + q[..., 1] + q[..., 2]
-
-
 def so3_exp(omega_dt) -> Rotation3:
     """Rotation by the angle-axis vector omega_dt (Rodrigues formula)."""
     w = _as_vec3(omega_dt, "omega_dt")
@@ -295,23 +245,6 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         return a @ b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for 3x3 matrices and 3-vectors stacked on leading axes.
-
-    The products are summed left to right, as _affine3 and the other float
-    kernels sum them on Python floats; numpy's matmul rounds differently.
-    """
-    p = m * v[..., None, :]
-    return p[..., 0] + p[..., 1] + p[..., 2]
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 3x3 matrices stacked on leading axes, the products summed
-    left to right as _mul3 sums them on Python floats."""
-    p = a[..., :, :, None] * b[..., None, :, :]
-    return p[..., 0, :] + p[..., 1, :] + p[..., 2, :]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -377,21 +310,6 @@ def _project_rows(a) -> tuple:
     s02 = -0.5 * e02 + 0.375 * (e00 * e02 + e01 * e12 + e02 * e22)
     s12 = -0.5 * e12 + 0.375 * (e01 * e02 + e11 * e12 + e12 * e22)
     return _mul3(a, ((s00, s01, s02), (s01, s11, s12), (s02, s12, s22)))
-
-
-def _project_raw(a: np.ndarray) -> np.ndarray:
-    """_project_rows of matrices stacked on a leading member axis, on arrays.
-
-    Every entry takes _project_rows' operations in its order, so a member
-    equals its _project_rows. The series runs for all members at once;
-    every member outside its domain is then recomputed alone through the SVD.
-    """
-    e = _matmul(a.swapaxes(-1, -2), a) - _EYE3
-    out = _matmul(a, _EYE3 - 0.5 * e + 0.375 * _matmul(e, e))
-    series = (np.abs(e).max(axis=(-2, -1)) < 1e-5) & (_det3(a) > 0.0)
-    for i in np.flatnonzero(~series):
-        out[i] = _project_svd(a[i])
-    return out
 
 
 def _project_svd(a: np.ndarray) -> np.ndarray:

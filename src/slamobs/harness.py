@@ -27,8 +27,8 @@ dt (on every axis but dt, all of them) advance together in one loop
 (_sweep_group) over one truth and, on the gain axes, one measurement stream:
 each step calls the observer's raw helpers once on estimates stacked on a
 leading member axis. A diverging member leaves the batch without stopping
-the others. Groups smaller than BATCH_MIN_MEMBERS run member by member
-through run. Either way each member reports its solo run's summary.
+the others. Each member, a lone one included, reports its solo run's
+summary.
 
 All truth-aware diagnostics (pose error, bias error, the Lyapunov-style
 energy) are computed here in the harness, where the truth is available; the
@@ -71,16 +71,6 @@ SETTLE_HOLD = 1.0
 # run buffers this many recorded steps before computing their metrics, and
 # csv_rows formats this many records at a time.
 RECORD_CHUNK = 1024
-
-# sweep steps the members that share dt in one batch when there are at least
-# this many, and runs smaller groups member by member through run. On
-# paper-sec5 (dt = 1e-3, 2 s, k_p values) a batch took 4.0-4.4x the solo
-# runs' time for one member, 2.1x for two, 1.3-1.4x for three, 1.0-1.2x for
-# four, 0.52-0.56x for eight and 0.28-0.34x for sixteen (two measurements),
-# so batching now pays from between four and eight members. The constant
-# stays 3: raising it would move three-value sweeps, and the tests that hold
-# batched members to their solo runs, off the batched path.
-BATCH_MIN_MEMBERS = 3
 
 # Sweep axis name -> the config with that parameter set to (or, for the
 # *_scale axes, scaled by) a value.
@@ -419,8 +409,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
 
     Every member's config is built, and so validated, before any step. The
     members that share dt advance together in one batched loop
-    (_sweep_group); groups smaller than BATCH_MIN_MEMBERS run member by
-    member through run. Either way a member gives its solo run's summary.
+    (_sweep_group), and each gives its solo run's summary.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
@@ -431,28 +420,14 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
         groups.setdefault(config.dt, []).append(i)
     summaries = [None] * len(configs)
     for members in groups.values():
-        if len(members) < BATCH_MIN_MEMBERS:
-            for i in members:
-                summaries[i] = _solo_summary(configs[i])
-            continue
         for i, summary in zip(members, _sweep_group([configs[i] for i in members])):
             summaries[i] = summary
     return [SweepResult(axis, value, *summary) for value, summary in zip(values, summaries)]
 
 
-def _solo_summary(config: ScenarioConfig) -> tuple:
-    """(settling_time, final_max_e, final_max_p_err, aborted_step) of run(config)."""
-    try:
-        records = run(config)
-    except DivergenceError as exc:
-        return None, math.nan, math.nan, exc.step
-    t = np.array([r.t for r in records])
-    max_e = np.array([r.max_e for r in records])
-    return settling_time(t, max_e), records[-1].max_e, records[-1].max_p_err, None
-
-
 def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
-    """_solo_summary of each config, with all members stepped together.
+    """(settling_time, final_max_e, final_max_p_err, aborted_step) of each
+    config's run, with all members stepped together.
 
     The configs differ only in their gains or noise. The truth is computed
     once per step. Members with equal noise share one measurement stream;

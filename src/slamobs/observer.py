@@ -30,8 +30,8 @@ moment product behind the innovation sums and the implicit solve) is one
 broadcasting numpy function, shared by one observer and by observers stacked
 on a leading member axis. The 3-vector and 3x3 algebra (the feedback solve,
 the corrected twist, the exponential, the projection, the position and bias
-updates) runs on Python floats for one observer and on arrays, operation for
-operation, for a stack, so a stacked member has its solo step's bits.
+updates) runs on Python floats, one observer at a time; a stack loops over
+its members, so a stacked member runs its solo step's code.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -55,13 +55,8 @@ from .geometry import (
     _as_vec3,
     _dot_rows,
     _exp_floats,
-    _matmul,
-    _matvec,
     _mul3,
-    _project_raw,
     _project_rows,
-    _se3_exp_raw,
-    _sq_norms,
     _trusted,
     hat3,
 )
@@ -168,29 +163,36 @@ class GainConfig:
 
 
 class StackedGains(NamedTuple):
-    """The GainConfigs of B members on a leading axis, as _step_raw reads them.
+    """The GainConfigs of B members, as _step_raw reads them.
 
-    k_p and k_w are (B, 1) columns, so that they broadcast against per-member
-    rows; gamma is (B, 3, 3) and alpha (B, n).
+    k_p is a (B, 1) column and alpha (B, n), which broadcast over the
+    landmark axis; k_w holds each member's Python float and gamma its rows
+    of Python floats, for the float update.
     """
 
     k_p: np.ndarray
-    k_w: np.ndarray
-    gamma: np.ndarray
     alpha: np.ndarray
+    k_w: list[float]
+    gamma: list[list]
 
     @staticmethod
     def of(gains: list[GainConfig]) -> "StackedGains":
         return StackedGains(
             np.array([[g.k_p] for g in gains]),
-            np.array([[g.k_w] for g in gains]),
-            np.stack([g.gamma for g in gains]),
             np.stack([g.alpha for g in gains]),
+            [g.k_w for g in gains],
+            [g.gamma.tolist() for g in gains],
         )
 
     def take(self, keep: np.ndarray) -> "StackedGains":
         """The gains of the members selected by keep."""
-        return StackedGains(*(a[keep] for a in self))
+        kept = np.flatnonzero(keep).tolist()
+        return StackedGains(
+            self.k_p[keep],
+            self.alpha[keep],
+            [self.k_w[i] for i in kept],
+            [self.gamma[i] for i in kept],
+        )
 
 
 @dataclass(frozen=True)
@@ -337,10 +339,8 @@ def _feedback_sums(moments, c) -> tuple[tuple, tuple]:
     innovation sum of the body-frame errors R_hat^T e_i + c A_i s_bar, that
     is, of the errors after the feedback alone with the y_i held fixed.
 
-    The body is elementwise. For one member moments is the nested list of
-    Python floats and so are the results, two 3-tuples; for members stacked
-    on a leading axis each entry is a (B, 1) column, which broadcasts like
-    c, and so is each result, with the same bits per member.
+    moments is the nested list of Python floats and the results are two
+    3-tuples of them.
     """
     (
         (a00, a01, a02, m0, g00, g01, g02),
@@ -442,101 +442,104 @@ def _step_raw(
     then has that axis too or is shared by every member. The formulas over
     the landmark axis (the errors' gains and update, the innovation sums and
     the implicit solve's Gram product) are one broadcasting numpy function
-    each. The pose and bias update of one member runs on Python floats
-    (_member_update), where numpy's call overhead would cost more than its
-    3-vector and 3x3 arithmetic; a stack runs the matrix forms
-    (_stacked_update), which take the float kernels' operations in their
-    order, so a member gets the bits of its own one-member step. If the
-    update leaves the finite range, a stacked step's DivergenceError marks
-    the members at fault.
+    each. The pose and bias update runs on Python floats (_member_update),
+    where numpy's call overhead would cost more than its 3-vector and 3x3
+    arithmetic, once per member, so a stacked member gets the bits of its
+    own one-member step. If a stacked member's update leaves the finite
+    range, the DivergenceError marks every member at fault.
     """
     moments = _landmark_moments(estimate[0], measurement[2], gains, e)
     landmarks_new = estimate[2] - (dt * adaptation_gain(e, gains.k_p))[..., None] * e
-    c = dt * gains.k_w if implicit else None
     if e.ndim == 3:
-        # Contiguous (B, 1) columns, which broadcast like c and are the
-        # fastest small arrays for numpy's elementwise loops.
-        sums = _feedback_sums(moments.transpose(1, 2, 0)[..., None].copy(), c)
-        return _stacked_update(estimate, measurement, gains, dt, sums, landmarks_new)
+        return _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks_new)
+    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
+    omega_m, v_m, _ = measurement
     try:
-        sums = _feedback_sums(moments.tolist(), c)
-        return _member_update(estimate, measurement, gains, dt, sums, landmarks_new)
+        r_new, p_new, b_omega_new, b_v_new = _member_update(
+            r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist(),
+            omega_m.tolist(), v_m.tolist(), moments.tolist(),
+            gains.k_w, gains.gamma.tolist(), dt, implicit,
+        )
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         # Python floats raise where numpy would return inf or NaN.
         raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
-
-
-def _member_update(estimate, measurement, gains, dt, sums, landmarks_new) -> tuple:
-    """The pose and bias part of one member's _step_raw, on Python floats.
-
-    Each formula is _stacked_update's for one member, written out on
-    floats; sums are _feedback_sums' and the landmark update arrives
-    computed. Returns the new estimate as arrays.
-    """
-    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, _ = measurement
-    s_omega, s_v = sums
-    # w = -k_w s is the innovation term subtracted from the measured velocity.
-    minus_k_w = -gains.k_w
-    b_omega, b_v = b_omega_hat.tolist(), b_v_hat.tolist()
-    omega_dt = [
-        (m - b - minus_k_w * s) * dt for m, b, s in zip(omega_m.tolist(), b_omega, s_omega)
-    ]
-    vel_dt = [(m - b - minus_k_w * s) * dt for m, b, s in zip(v_m.tolist(), b_v, s_v)]
-    w0, w1, w2 = omega_dt
-    # The squared-angle check also catches finite twists whose square
-    # overflows inside the exponential.
-    if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, *vel_dt))):
-        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
-
-    step_rot, step_pos = _exp_floats(omega_dt, vel_dt)
-    r = r_hat.tolist()
-    r_new = _project_rows(_mul3(r, step_rot))
-    p_new = _affine3(r, step_pos, p_hat.tolist())
-    gamma = gains.gamma.tolist()
-    b_omega_new = [b - dt * (g0 * s_omega[0] + g1 * s_omega[1] + g2 * s_omega[2])
-                   for b, (g0, g1, g2) in zip(b_omega, gamma)]
-    b_v_new = [b - dt * (g0 * s_v[0] + g1 * s_v[1] + g2 * s_v[2])
-               for b, (g0, g1, g2) in zip(b_v, gamma)]
-    if not (
-        all(map(math.isfinite, (*p_new, *b_omega_new, *b_v_new)))
-        and np.isfinite(landmarks_new).all()
-    ):
+    if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
     return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
 
 
-def _stacked_update(estimate, measurement, gains, dt, sums, landmarks_new) -> tuple:
-    """The pose and bias part of _step_raw for members stacked on a leading
-    axis: _member_update's formulas on arrays, entry by entry in its order."""
+def _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks_new) -> tuple:
+    """The pose and bias part of _step_raw for B stacked members: each
+    member's _member_update in turn, on the rows of one tolist per array."""
     r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, _ = measurement
-    s_omega, s_v = (np.concatenate(s, axis=-1) for s in sums)
-    w_omega = -gains.k_w * s_omega
-    w_v = -gains.k_w * s_v
-    omega_dt = (omega_m - b_omega_hat - w_omega) * dt
-    vel_dt = (v_m - b_v_hat - w_v) * dt
-    _check_finite("correction terms overflowed", _sq_norms(omega_dt), vel_dt)
+    count = len(r_hat)
+    if omega_m.ndim == 1:
+        omega_m, v_m = [omega_m.tolist()] * count, [v_m.tolist()] * count
+    else:
+        omega_m, v_m = omega_m.tolist(), v_m.tolist()
+    finite = np.isfinite(landmarks_new).all(axis=(1, 2)).tolist()
+    updates = []
+    for i, member in enumerate(
+        zip(
+            r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist(),
+            omega_m, v_m, moments.tolist(), gains.k_w, gains.gamma,
+        )
+    ):
+        try:
+            updates.append(_member_update(*member, dt, implicit))
+        except (DivergenceError, ZeroDivisionError, OverflowError, ValueError):
+            finite[i] = False
+    if not all(finite):
+        failed = ~np.array(finite)
+        raise DivergenceError(
+            f"{failed.sum()} of {count} members left the finite range; reduce dt or the gains",
+            members=failed,
+        )
+    r_new, p_new, b_omega_new, b_v_new = zip(*updates)
+    return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
 
-    step_rot, step_pos = _se3_exp_raw(omega_dt, vel_dt)
-    r_new = _project_raw(_matmul(r_hat, step_rot))
-    p_new = _matvec(r_hat, step_pos) + p_hat
-    b_omega_new = b_omega_hat - dt * _matvec(gains.gamma, s_omega)
-    b_v_new = b_v_hat - dt * _matvec(gains.gamma, s_v)
-    _check_finite("observer state overflowed", p_new, landmarks_new, b_omega_new, b_v_new)
-    return r_new, p_new, landmarks_new, b_omega_new, b_v_new
 
+def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, implicit) -> tuple:
+    """The pose and bias part of one member's _step_raw, on Python floats.
 
-def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    """Raise DivergenceError unless every entry of the stacked arrays is
-    finite; its members marks the members with a non-finite entry in any of
-    them. Each array carries the member axis first.
+    The estimate and measurement arrive as Python floats (r and gamma as
+    rows), with the entries of _landmark_moments; returns the new rotation
+    rows, position and biases. Raises DivergenceError when the corrected
+    twist or the new state is not finite.
     """
-    for a in arrays:
-        if not np.isfinite(a).all():
-            finite = [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays]
-            members = ~np.logical_and.reduce(finite)
-            raise DivergenceError(f"{what}; reduce dt or the gains", members=members)
+    (s0, s1, s2), (u0, u1, u2) = _feedback_sums(moments, dt * k_w if implicit else None)
+    bo0, bo1, bo2 = b_omega
+    bv0, bv1, bv2 = b_v
+    # The innovation term -k_w s is subtracted from the measured velocity.
+    w0 = (omega_m[0] - bo0 + k_w * s0) * dt
+    w1 = (omega_m[1] - bo1 + k_w * s1) * dt
+    w2 = (omega_m[2] - bo2 + k_w * s2) * dt
+    x0 = (v_m[0] - bv0 + k_w * u0) * dt
+    x1 = (v_m[1] - bv1 + k_w * u1) * dt
+    x2 = (v_m[2] - bv2 + k_w * u2) * dt
+    # The squared-angle check also catches finite twists whose square
+    # overflows inside the exponential.
+    if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
+        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
+
+    step_rot, step_pos = _exp_floats((w0, w1, w2), (x0, x1, x2))
+    r_new = _project_rows(_mul3(r, step_rot))
+    p_new = _affine3(r, step_pos, p)
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gamma
+    b_omega_new = (
+        bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),
+        bo1 - dt * (g10 * s0 + g11 * s1 + g12 * s2),
+        bo2 - dt * (g20 * s0 + g21 * s1 + g22 * s2),
+    )
+    b_v_new = (
+        bv0 - dt * (g00 * u0 + g01 * u1 + g02 * u2),
+        bv1 - dt * (g10 * u0 + g11 * u1 + g12 * u2),
+        bv2 - dt * (g20 * u0 + g21 * u1 + g22 * u2),
+    )
+    if not all(map(math.isfinite, (*p_new, *b_omega_new, *b_v_new))):
+        raise DivergenceError("observer state overflowed; reduce dt or the gains")
+    return r_new, p_new, b_omega_new, b_v_new
 
 
 def lyapunov_value(

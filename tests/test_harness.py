@@ -497,15 +497,17 @@ class TestSweep:
         for r in results:
             assert_equals_solo_run(r, SWEEP_AXES[axis](base, r.value))
 
-    def test_lone_members_run_solo(self, monkeypatch):
-        solo = []
-        solo_run = harness.run
+    def test_every_group_steps_in_sweep_group(self, monkeypatch):
+        solo, groups = [], []
+        solo_run, sweep_group = harness.run, harness._sweep_group
         monkeypatch.setattr(harness, "run", lambda config: solo.append(1) or solo_run(config))
+        monkeypatch.setattr(
+            harness, "_sweep_group", lambda configs: groups.append(1) or sweep_group(configs)
+        )
         base = make_compact_scenario(duration=0.05)
-        batch = [1.0 + i for i in range(harness.BATCH_MIN_MEMBERS)]
-        assert len(sweep(base, "k_p", batch)) == len(batch)
+        # One group of three, one of two, and a dt axis, whose members share no dt.
+        assert len(sweep(base, "k_p", [1.0, 2.0, 3.0])) == 3
+        assert len(sweep(base, "k_p", [2.0, 3.0])) == 2
+        assert len(sweep(base, "dt", [1e-3, 2e-3, 5e-4])) == 3
         assert solo == []
-        # One member too few to batch, and a dt axis, whose members share no dt.
-        sweep(base, "k_p", batch[1:])
-        sweep(base, "dt", [1e-3, 2e-3, 5e-4])
-        assert len(solo) == len(batch) - 1 + 3
+        assert len(groups) == 1 + 1 + 3

@@ -509,6 +509,38 @@ class TestMemberStepProperty:
                 assert got[i].shape == want.shape
                 assert np.abs(got[i] - want).max() <= 1e-15 * np.abs(want).max()
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 30),
+        kinds=st.lists(
+            st.sampled_from(["small", "svd", "near", "ordinary"]), min_size=3, max_size=3
+        ),
+        implicit=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_member_has_its_member_steps_bits(self, n, kinds, implicit, shared, seed):
+        rng = np.random.default_rng(seed)
+        measurements = [
+            (rng.normal(size=3), rng.normal(size=3), rng.normal(size=(n, 3))) for _ in range(3)
+        ]
+        if shared:
+            measurements = [measurements[0]] * 3
+        members = [_member(rng, n, kind, m[0]) for kind, m in zip(kinds, measurements)]
+        estimates, errors, gains = zip(*members)
+        batch = observer._step_raw(
+            tuple(np.stack(parts) for parts in zip(*estimates)),
+            measurements[0] if shared else tuple(np.stack(p) for p in zip(*measurements)),
+            np.stack(errors),
+            observer.StackedGains.of(list(gains)),
+            0.01,
+            implicit,
+        )
+        for i, ((estimate, e, member_gains), m) in enumerate(zip(members, measurements)):
+            solo = observer._step_raw(estimate, m, e, member_gains, 0.01, implicit)
+            for got, want in zip(batch, solo):
+                assert np.array_equal(got[i], want)
+
 
 class TestMemberDivergence:
     @pytest.mark.parametrize("implicit", [False, True], ids=["explicit", "implicit"])
@@ -540,6 +572,41 @@ class TestMemberDivergence:
         with pytest.raises(DivergenceError) as info:
             observer._step_raw(estimates[2], measurements[2], e[2], gains[2], 0.01, True)
         assert isinstance(info.value.__cause__, OverflowError)
+
+
+    def test_float_exception_marks_only_its_member_in_a_stack(self, rng, monkeypatch):
+        estimates, measurements, e, gains = _stack_members(rng)
+        exp_floats, calls = observer._exp_floats, []
+
+        def overflow_on_second_member(w, v):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OverflowError("math range error")
+            return exp_floats(w, v)
+
+        monkeypatch.setattr(observer, "_exp_floats", overflow_on_second_member)
+        estimate = tuple(np.stack(parts) for parts in zip(*estimates))
+        measurement = tuple(np.stack(p) for p in zip(*measurements))
+        stacked_gains = observer.StackedGains.of(gains)
+        dt = 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                observer._step_raw(estimate, measurement, e, stacked_gains, dt, True)
+            keep = ~info.value.members
+            assert keep.tolist() == [True, False, True]
+            rest = observer._step_raw(
+                tuple(a[keep] for a in estimate),
+                tuple(a[keep] for a in measurement),
+                e[keep],
+                stacked_gains.take(keep),
+                dt,
+                True,
+            )
+            for j, i in enumerate([0, 2]):
+                solo = observer._step_raw(estimates[i], measurements[i], e[i], gains[i], dt, True)
+                for got, want in zip(rest, solo):
+                    assert np.array_equal(got[j], want)
 
 
 class TestDiagnostics:
