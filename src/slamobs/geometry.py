@@ -5,11 +5,11 @@ exponential maps (Rodrigues plus the left Jacobian for the translation part),
 the normalized rotation distance, and a polar re-orthonormalization used to
 repair drift after long chains of products.
 
-The step kernels (the exponential, the 3x3 product and the projection:
-_exp_floats, _mul3, _affine3, _project_rows) run on Python floats, rows of
-a matrix as tuples, because numpy's per-call overhead costs far more than
-3x3 arithmetic; the public functions here call them too, and a stack of
-poses calls them once per pose.
+The step kernels (_exp_floats, _mul3, _affine3, _project_rows) run on
+Python floats, rows of a matrix as tuples, because numpy's per-call overhead
+costs far more than 3x3 arithmetic; the public functions here call them too.
+The metric kernels (_mul3, _distance_rows, _norm3, _quadratic3) also run
+unchanged on (K,) columns of entries, one per record.
 
 Everything here is a pure function over immutable values; there is no shared
 state and all operations are safe to call concurrently.
@@ -222,38 +222,48 @@ def se3_exp(u: Twist, dt: float) -> Pose:
 
 
 def rotation_distance(r: Rotation3) -> float:
-    """Normalized distance from the identity: Tr(I - R) / 4, clamped to [0, 1].
+    """Normalized distance from the identity: Tr(I - R) / 4 = sin^2(theta / 2),
+    0 at the identity and 1 at a half-turn (see _distance_rows)."""
+    return float(_distance_rows(r.m.tolist()))
 
-    0 at the identity, 1 at a half-turn. The clamp absorbs rounding that can
-    otherwise produce values like -1e-17.
+
+def _distance_rows(r):
+    """rotation_distance of the rows r of Python floats, or of (K,) columns.
+
+    With c = cos(theta) = (tr R - 1) / 2 and s = sin(theta) = ||vee(R - R^T)|| / 2:
+    s^2 / (2 (1 + c)) where c >= 0, 1 - s^2 / (2 (1 - c)) where c < 0. Unlike
+    (3 - tr R) / 4, which cancels to 1.1e-16 near the identity and can round
+    past 1 near a half-turn, both keep full precision; their divisor
+    2 (1 + |c|) >= 2 never makes the unselected branch divide by zero.
     """
-    return float(_rotation_distance_raw(r.m))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    x, y, z = r21 - r12, r02 - r20, r10 - r01
+    c = 0.5 * (r00 + r11 + r22 - 1.0)
+    q = (x * x + y * y + z * z) / (8.0 * (1.0 + abs(c)))
+    return np.where(c >= 0.0, q, 1.0 - q)
 
 
-def _rotation_distance_raw(m: np.ndarray) -> np.ndarray:
-    """rotation_distance of the 3x3 matrices stacked on m's leading axes."""
-    d = 0.25 * (3.0 - m.trace(axis1=-2, axis2=-1))
-    return np.minimum(np.maximum(d, 0.0), 1.0)
+def _norm3(v):
+    """Euclidean norm of a 3-vector of Python floats or of (K,) columns."""
+    v0, v1, v2 = v
+    return np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, broadcasting over the leading axes.
-
-    A stacked matmul, so each entry has the bits of the 1-D product a @ b;
-    (a * b).sum(axis=-1) rounds differently in about one row in ten.
-    """
-    if a.ndim == 1:
-        return a @ b
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm over the last axis, bit for bit, broadcasting over the rest."""
-    return np.sqrt(_dot_rows(x, x))
+def _quadratic3(v, a):
+    """(v^T a) v for a 3x3 matrix a as rows of Python floats and a 3-vector v
+    of Python floats or of (K,) columns."""
+    v0, v1, v2 = v
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return (
+        (v0 * a00 + v1 * a10 + v2 * a20) * v0
+        + (v0 * a01 + v1 * a11 + v2 * a21) * v1
+        + (v0 * a02 + v1 * a12 + v2 * a22) * v2
+    )
 
 
 def _mul3(a, b) -> tuple:
-    """a @ b of two 3x3 matrices given as rows of Python floats."""
+    """a @ b of two 3x3 matrices given as rows of Python floats (or, for the
+    metrics, of (K,) columns)."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     return (

@@ -1,38 +1,28 @@
 """Scenario runner: co-simulates the world and the observer, records metrics.
 
-Each loop steps through time in order. At step k (time t = k * dt) the world
-is measured, the metrics are recorded from that measurement and the current
-states, and then both the observer and the truth advance by one step. The
-final step is always recorded even when a decimation stride is active, so
-"final error" summaries are well defined.
+At step k (time t = k * dt) the world is measured, the metrics are recorded
+from that measurement and the current states, and then the observer and the
+truth advance by one step. The final step is always recorded, stride or
+not, so "final error" summaries are well defined.
 
-run and trajectory share one loop (_steps) over raw float64 arrays. It
-calls the same raw helpers that observer_step, true_step and sense wrap,
-forms the landmark errors once per step for both the metrics and the
-update, and takes the truth from _truth, which computes the pose increment
-once per twist knot. Inside those helpers the work splits by the kind of
-data: each formula over the landmark axis is one numpy call, shared with the
-batched sweep, and the 3-vector and 3x3 algebra of the observer and the
-truth runs on Python floats, where numpy's call overhead would cost more
-than the arithmetic.
-trajectory wraps every step into a StepSnapshot. run builds no value types
-per step: it copies each recorded step's arrays into buffers of
-RECORD_CHUNK records and computes every metric column of a full buffer at
-once (_metric_columns). compute_metrics is the same computation over one
-snapshot, so both give the same bits. Inputs are validated once, by
-ScenarioConfig.
+run and trajectory share one loop (_steps) over raw float64 arrays: it calls
+the raw helpers that observer_step, true_step and sense wrap, forms the
+landmark errors once per step for both the metrics and the update, and takes
+the truth from _truth, which computes the pose increment once per twist
+knot. trajectory wraps every step into a StepSnapshot. run copies each
+recorded step's arrays into buffers of RECORD_CHUNK records and computes
+every metric column of a full buffer at once (_metric_columns);
+compute_metrics is the same computation over one snapshot, with the same
+bits. Both evaluate here, where the truth is available, the truth-aware
+diagnostics that observer defines; the observer's step never sees the truth.
+Inputs are validated once, by ScenarioConfig.
 
-sweep does not run its members one after another. The members that share
-dt (on every axis but dt, all of them) advance together in one loop
-(_sweep_group) over one truth and, on the gain axes, one measurement stream:
-each step calls the observer's raw helpers once on estimates stacked on a
-leading member axis. A diverging member leaves the batch without stopping
-the others. Each member, a lone one included, reports its solo run's
-summary.
-
-All truth-aware diagnostics (pose error, bias error, the Lyapunov-style
-energy) are computed here in the harness, where the truth is available; the
-observer itself never sees it.
+sweep advances the members that share dt (on every axis but dt, all of
+them) together in one loop (_sweep_group), over one truth and, on the gain
+axes, one measurement stream: each step calls the observer's raw helpers
+once on estimates stacked on a leading member axis. A diverging member
+leaves the batch without stopping the others, and each member reports its
+solo run's summary.
 """
 
 from __future__ import annotations
@@ -44,15 +34,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, _norms, _rotation_distance_raw, _trusted
+from .geometry import Pose, Rotation3, _distance_rows, _norm3, _trusted
 from .observer import (
     DivergenceError,
     ObserverState,
     StackedGains,
-    _bias_error_raw,
+    _bias_error_rows,
     _energy_raw,
     _errors_raw,
-    _pose_error_raw,
+    _pose_error_rows,
     _step_raw,
 )
 from .scenario import ScenarioConfig
@@ -210,28 +200,27 @@ def trajectory(config: ScenarioConfig) -> Iterator[StepSnapshot]:
         yield _snapshot(config, *step)
 
 
-def _metric_columns(t, truth, estimate, e, config: ScenarioConfig) -> tuple:
-    """Every MetricsRecord column, in field order, over the leading record axes.
+def _metric_columns(rows, truth, estimate, e, config: ScenarioConfig) -> tuple:
+    """Every MetricsRecord column after t, in field order.
 
-    truth is (rot, pos, landmarks) and estimate is laid out as
-    ObserverState.arrays(). The arrays of many records are stacked on a
-    leading axis (landmarks may omit it); those of one record have none.
-    Each formula is the broadcasting helper that its public one-record
-    function (pose_error, bias_error, rotation_distance, lyapunov_value)
-    calls, and _norms has the bits of np.linalg.norm.
+    truth is (rot, pos, landmarks), estimate ObserverState.arrays() and e the
+    landmark errors, of one record or stacked on a leading axis of K records
+    (landmarks never is). The landmark-axis columns are numpy calls; the pose
+    and bias ones run the float kernels of pose_error, bias_error,
+    rotation_distance and lyapunov_value on rows(a) of each array a: Python
+    floats for one record, (K,) columns for K, with the same bits.
     """
     rot, pos, landmarks = truth
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
-    r_tilde, p_tilde = _pose_error_raw(r_hat, p_hat, rot, pos)
-    b_omega_tilde, b_v_tilde = _bias_error_raw(config.bias, b_omega_hat, b_v_hat)
+    r_tilde, p_tilde = _pose_error_rows(rows(r_hat), rows(p_hat), rows(rot), rows(pos))
+    b_omega_tilde, b_v_tilde = _bias_error_rows(config.bias, rows(b_omega_hat), rows(b_v_hat))
     return (
-        t,
         _error_norms(e),
         _error_norms(landmarks - landmarks_hat),
-        _rotation_distance_raw(r_tilde),
-        _norms(p_tilde),
-        _norms(b_omega_tilde),
-        _norms(b_v_tilde),
+        _distance_rows(r_tilde),
+        _norm3(p_tilde),
+        _norm3(b_omega_tilde),
+        _norm3(b_v_tilde),
         _energy_raw(e, b_omega_tilde, b_v_tilde, config.gains),
     )
 
@@ -244,18 +233,15 @@ def _error_norms(x: np.ndarray) -> np.ndarray:
 def compute_metrics(snapshot: StepSnapshot, config: ScenarioConfig) -> MetricsRecord:
     """Pure function of a snapshot; recomputing from a saved trace is bit-exact.
 
-    It is _metric_columns over one record, so it equals the record that run
-    computes for the same step, bit for bit.
+    It is _metric_columns over one record, on Python floats, so it equals
+    the record that run computes for the same step, bit for bit.
     """
-    truth = snapshot.truth
-    t, e_norm, p_err, *scalars = _metric_columns(
-        snapshot.t,
-        (truth.pose.rotation.m, truth.pose.position, truth.landmarks),
-        snapshot.state.arrays(),
-        snapshot.e,
-        config,
+    pose, landmarks = snapshot.truth.pose, snapshot.truth.landmarks
+    truth = (pose.rotation.m, pose.position, landmarks)
+    e_norm, p_err, *scalars = _metric_columns(
+        np.ndarray.tolist, truth, snapshot.state.arrays(), snapshot.e, config
     )
-    return MetricsRecord(t, e_norm, p_err, *map(float, scalars))
+    return MetricsRecord(snapshot.t, e_norm, p_err, *map(float, scalars))
 
 
 def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
@@ -284,8 +270,9 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
         i += 1
         if i == len(buffers[0]) or k == steps:
             t_col, rot, pos, *estimate_cols, e_col = (b[:i] for b in buffers)
-            _, e_norm, p_err, *scalars = _metric_columns(
-                t_col, (rot, pos, config.landmarks), estimate_cols, e_col, config
+            e_norm, p_err, *scalars = _metric_columns(
+                lambda a: np.moveaxis(a, 0, -1),  # (K,) columns
+                (rot, pos, config.landmarks), estimate_cols, e_col, config,
             )
             records += map(
                 MetricsRecord, t_col.tolist(), e_norm, p_err, *(c.tolist() for c in scalars)

@@ -36,9 +36,10 @@ its members, so a stacked member runs its solo step's code.
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
 
-Truth-aware diagnostics (pose error, bias error, the energy functional whose
-decay certifies convergence) live here as well, but they are simulation-only:
-nothing in the estimation path touches the true state.
+The truth-aware diagnostics (pose error, bias error, the energy functional
+whose decay certifies convergence) are defined here, their 3-vector and 3x3
+part entry by entry as in the step, and evaluated by the harness. They are
+simulation-only: nothing in the estimation path touches the true state.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .geometry import (
     Rotation3,
     _affine3,
     _as_vec3,
-    _dot_rows,
     _exp_floats,
     _mul3,
     _project_rows,
+    _quadratic3,
     _trusted,
     hat3,
 )
@@ -548,54 +549,53 @@ def lyapunov_value(
     """Energy functional over landmark errors and (truth-aware) bias errors.
 
     sum_i ||e_i||^2 / (2 alpha_i) plus the gamma-inverse-weighted squared bias
-    errors. Monotone decay of this value along a noise-free run certifies the
-    observer is converging; it is a diagnostic only and never feeds back into
-    the estimates.
+    errors, for errors of shape (n, 3). Monotone decay of this value along a
+    noise-free run certifies the observer is converging; it is a diagnostic
+    only and never feeds back into the estimates.
     """
-    e = np.asarray(errors, dtype=float).reshape(-1, 3)
-    if e.shape[0] != gains.count:
-        raise ValueError(f"got {e.shape[0]} errors for {gains.count} alpha values")
-    bias_tilde = _bias_error_raw(true_bias, state.b_omega_hat, state.b_v_hat)
-    return float(_energy_raw(e, *bias_tilde, gains))
+    e = np.asarray(errors, dtype=float)
+    if e.shape != (gains.count, 3):
+        raise ValueError(f"errors must be a ({gains.count}, 3) array, got shape {e.shape}")
+    b_tilde = _bias_error_rows(true_bias, state.b_omega_hat.tolist(), state.b_v_hat.tolist())
+    return float(_energy_raw(e, *b_tilde, gains))
 
 
-def _energy_raw(
-    e: np.ndarray, b_omega_tilde: np.ndarray, b_v_tilde: np.ndarray, gains: GainConfig
-) -> np.ndarray:
-    """lyapunov_value on raw arrays, broadcasting over leading axes.
-
-    e is (..., n, 3), the bias errors are (..., 3).
-    """
-    g_inv = gains.gamma_inv
-    value = (0.5 * (e * e).sum(axis=-1) / gains.alpha).sum(axis=-1)
-    return value + 0.5 * (
-        _dot_rows(b_omega_tilde @ g_inv, b_omega_tilde) + _dot_rows(b_v_tilde @ g_inv, b_v_tilde)
-    )
+def _energy_raw(e: np.ndarray, b_omega_tilde, b_v_tilde, gains: GainConfig):
+    """lyapunov_value on raw values: e is (..., n, 3), and each bias error is
+    three Python floats or three columns over e's leading axes."""
+    g_inv = gains.gamma_inv.tolist()
+    bias_sum = _quadratic3(b_omega_tilde, g_inv) + _quadratic3(b_v_tilde, g_inv)
+    return 0.5 * (((e * e).sum(axis=-1) / gains.alpha).sum(axis=-1) + bias_sum)
 
 
 def bias_error(state: ObserverState, true_bias: SensorBias) -> BiasError:
     """Truth-aware bias error b - b_hat for both velocity channels."""
-    return BiasError(*_bias_error_raw(true_bias, state.b_omega_hat, state.b_v_hat))
+    rows = _bias_error_rows(true_bias, state.b_omega_hat.tolist(), state.b_v_hat.tolist())
+    return BiasError(*map(np.array, rows))
 
 
-def _bias_error_raw(
-    true_bias: SensorBias, b_omega_hat: np.ndarray, b_v_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """bias_error on raw estimates, broadcasting over leading axes."""
-    return true_bias.omega - b_omega_hat, true_bias.vel - b_v_hat
+def _bias_error_rows(true_bias: SensorBias, b_omega_hat, b_v_hat) -> tuple[tuple, tuple]:
+    """bias_error on estimates of three Python floats or three (K,) columns."""
+    (w0, w1, w2), (v0, v1, v2) = true_bias.omega.tolist(), true_bias.vel.tolist()
+    (x0, x1, x2), (y0, y1, y2) = b_omega_hat, b_v_hat
+    return (w0 - x0, w1 - x1, w2 - x2), (v0 - y0, v1 - y1, v2 - y2)
 
 
 def pose_error(state: ObserverState, truth: TrueState) -> PoseError:
     """Truth-aware pose error; constant in the limit of a converged run."""
-    r_tilde, p_tilde = _pose_error_raw(
-        state.r_hat.m, state.p_hat, truth.pose.rotation.m, truth.pose.position
+    arrays = (state.r_hat.m, state.p_hat, truth.pose.rotation.m, truth.pose.position)
+    r_tilde, p_tilde = _pose_error_rows(*(a.tolist() for a in arrays))
+    return PoseError(_trusted(Rotation3, m=np.array(r_tilde)), np.array(p_tilde))
+
+
+def _pose_error_rows(r_hat, p_hat, rot, pos) -> tuple[tuple, tuple]:
+    """pose_error entry by entry, r_tilde = R_hat R^T and p_tilde =
+    P_hat - r_tilde P, on rows of Python floats or of (K,) columns."""
+    r_tilde = _mul3(r_hat, tuple(zip(*rot)))
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = r_tilde
+    x0, x1, x2 = pos
+    return r_tilde, (
+        p_hat[0] - (t00 * x0 + t01 * x1 + t02 * x2),
+        p_hat[1] - (t10 * x0 + t11 * x1 + t12 * x2),
+        p_hat[2] - (t20 * x0 + t21 * x1 + t22 * x2),
     )
-    return PoseError(_trusted(Rotation3, m=r_tilde), p_tilde)
-
-
-def _pose_error_raw(
-    r_hat: np.ndarray, p_hat: np.ndarray, rot: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """pose_error on raw arrays, broadcasting over leading axes."""
-    r_tilde = r_hat @ rot.swapaxes(-1, -2)
-    return r_tilde, p_hat - (r_tilde @ pos[..., None])[..., 0]

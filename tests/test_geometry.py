@@ -1,5 +1,8 @@
 """Rotation / pose arithmetic against literal cases and the series oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from slamobs import (
     so3_exp,
     vee3,
 )
+
+from slamobs import geometry
 
 from oracles import matexp_taylor, twist_matrix
 
@@ -163,6 +168,29 @@ class TestRotationDistance:
         for _ in range(200):
             d = rotation_distance(so3_exp(rng.normal(size=3) * 2.0))
             assert 0.0 <= d <= 1.0
+
+    @pytest.mark.parametrize("angle", [1e-8, 1e-7, 1e-5, 1e-3, 1.0, 2.0, 3.0, math.pi])
+    def test_matches_half_angle_sine(self, angle):
+        # Tr(I - R) / 4 = sin^2(angle / 2). The trace form cancels to 1.1e-16
+        # absolute near the identity: it read 0.0 at 1e-8 rad and 2.44e-15 at
+        # 1e-7 rad. Above a quarter turn the other branch applies.
+        axis = np.array([1.0, -2.0, 2.0]) / 3.0
+        for direction in (np.array([1.0, 0.0, 0.0]), axis):
+            d = rotation_distance(so3_exp(angle * direction))
+            assert d == pytest.approx(math.sin(angle / 2.0) ** 2, rel=1e-12, abs=0.0)
+            assert d <= 1.0
+
+    def test_half_turns_neither_warn_nor_divide_by_zero(self):
+        # Each branch's quotient is evaluated for every input, the unselected
+        # one included, so a half-turn must not divide by zero in the other.
+        signs = ([-1.0, -1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0])
+        stack = np.stack([np.eye(3), *map(np.diag, signs)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = [rotation_distance(Rotation3(m)) for m in stack]
+            columns = geometry._distance_rows(np.moveaxis(stack, 0, -1))
+        assert floats == [0.0, 1.0, 1.0, 1.0]
+        assert columns.tolist() == floats
 
 
 class TestProjectOrthonormal:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slamobs import (
     DivergenceError,
@@ -12,7 +14,10 @@ from slamobs import (
     MetricsRecord,
     NoiseSpec,
     ObserverState,
+    Pose,
+    Rotation3,
     SensorBias,
+    SensorFrame,
     TrueState,
     Twist,
     TwistProfile,
@@ -25,13 +30,14 @@ from slamobs import (
     run,
     sense,
     settling_time,
+    so3_exp,
     sweep,
     trajectory,
     true_step,
     write_csv,
 )
 from slamobs import harness
-from slamobs.harness import SWEEP_AXES, csv_rows
+from slamobs.harness import SWEEP_AXES, StepSnapshot, csv_rows
 
 from conftest import make_compact_scenario, make_gentle_scenario
 
@@ -214,6 +220,77 @@ class TestRecordChunks:
             # The records fill whole chunks, and the final one is off the stride.
             assert len(expected) % self.CHUNK == 0 and steps % stride != 0
         assert [record_bits(r) for r in run(config, stride=stride)] == expected
+
+
+def _attitude_error(rng, kind):
+    """(r_hat, rot) whose pose error r_hat rot^T is of the given kind:
+    "identity" (exactly), "small" (below 1e-6 rad), "obtuse" (between pi/2
+    and pi, where the rotation distance takes its other branch), "half"
+    (an exact half-turn) or "any"."""
+    rot = so3_exp(rng.normal(size=3)).m
+    if kind == "identity":
+        return rot, rot
+    if kind == "half":
+        return np.diag(rng.permutation([-1.0, -1.0, 1.0])), np.eye(3)
+    axis = rng.normal(size=3)
+    angle = {
+        "small": rng.uniform(0.0, 1e-6),
+        "obtuse": rng.uniform(np.pi / 2, np.pi),
+        "any": rng.uniform(0.0, np.pi),
+    }[kind]
+    return so3_exp(angle * axis / np.linalg.norm(axis)).m @ rot, rot
+
+
+class TestMetricPaths:
+    # compute_metrics runs the pose and bias metrics on Python floats, run
+    # on the (K,) columns of a chunk; a record must get the same bits. The
+    # loop's own records all have a pose error near the identity, so these
+    # records are drawn at random.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["identity", "small", "obtuse", "half", "any"]),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_record_and_chunk_give_the_same_bits(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(3, 3))
+        base = make_compact_scenario()
+        config = replace(
+            base,
+            bias=SensorBias(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3)),
+            gains=GainConfig(1.0, 2.0, m @ m.T + np.eye(3), rng.uniform(0.05, 1.0, 4)),
+        )
+        snapshots, columns = [], []
+        for k, kind in enumerate(kinds):
+            r_hat, rot = _attitude_error(rng, kind)
+            truth = TrueState(Pose(Rotation3(rot), rng.normal(size=3)), config.landmarks)
+            state = ObserverState(
+                Rotation3(r_hat),
+                rng.normal(size=3),
+                rng.normal(size=(4, 3)),
+                rng.normal(scale=0.1, size=3),
+                rng.normal(scale=0.1, size=3),
+            )
+            e = rng.normal(size=(4, 3))
+            frame = SensorFrame(np.zeros(3), np.zeros(3), np.zeros((4, 3)), 0.01 * k)
+            snapshots.append(StepSnapshot(k, 0.01 * k, truth, state, frame, e))
+            columns.append((rot, truth.pose.position, *state.arrays(), e))
+        rot, pos, *estimate, e = map(np.array, zip(*columns))
+        # The chunk pass of run, on the (K,) columns of each entry.
+        chunk = harness._metric_columns(
+            lambda a: np.moveaxis(a, 0, -1), (rot, pos, config.landmarks), estimate, e, config
+        )
+        for i, snap in enumerate(snapshots):
+            rec = compute_metrics(snap, config)
+            e_norm, p_err, *scalars = (column[i] for column in chunk)
+            assert record_bits(rec) == record_bits(
+                MetricsRecord(snap.t, e_norm, p_err, *map(float, scalars))
+            )
+            assert (rec.r_tilde_dist == 1.0) == (kinds[i] == "half")
 
 
 class TestRunLoop:

@@ -639,6 +639,20 @@ class TestDiagnostics:
                 reference_gains(),
             )
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 4), (12,), (1, 4, 3)], ids=["transposed", "flat", "leading-axis"]
+    )
+    def test_lyapunov_rejects_errors_not_shaped_n_by_3(self, shape):
+        # A (3, 4) array reshaped to (4, 3) pairs values with the wrong
+        # alpha: 987.5 here instead of the 775.83 of its transpose.
+        gains = GainConfig(k_p=1.0, k_w=2.0, gamma=30.0, alpha=[0.1, 0.2, 0.3, 0.4])
+        errors = np.arange(12.0).reshape(4, 3)
+        state, bias = ObserverState.cold_start(4), SensorBias.zero()
+        assert lyapunov_value(state, errors, bias, gains) == pytest.approx(775.8333333333333)
+        bad = errors.T if shape == (3, 4) else errors.reshape(shape)
+        with pytest.raises(ValueError, match=r"errors must be a \(4, 3\) array"):
+            lyapunov_value(state, bad, bias, gains)
+
     def test_pose_error_identity(self, rng):
         pose = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
         truth = TrueState(pose, SQUARE_LANDMARKS)
@@ -739,6 +753,52 @@ class TestGaugeFreedom:
             norms_a = np.linalg.norm(e_a, axis=1)
             norms_b = np.linalg.norm(e_b, axis=1)
             assert np.abs(norms_a - norms_b).max() <= 1e-8
+
+
+class TestGaugeEquivariance:
+    # A rigid motion (G, g) of the estimate, R_hat -> G R_hat,
+    # P_hat -> G P_hat + g, p_hat_i -> G p_hat_i + g, with the measurements
+    # unchanged, maps e_i to G e_i and leaves the body-frame errors
+    # R_hat^T e_i, and so the feedback sums, unchanged: one step of either
+    # scheme commutes with the motion. Body-frame landmark measurements
+    # cannot observe this gauge.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 12), implicit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_step_commutes_with_rigid_motion(self, n, implicit, seed):
+        rng = np.random.default_rng(seed)
+        state = ObserverState(
+            so3_exp(rng.normal(size=3)),
+            rng.normal(size=3),
+            rng.normal(size=(n, 3)),
+            rng.normal(scale=0.05, size=3),
+            rng.normal(scale=0.05, size=3),
+        )
+        frame = frame_from(rng.normal(size=(n, 3)), rng.normal(size=3), rng.normal(size=3))
+        m = rng.normal(size=(3, 3))
+        gains = GainConfig(
+            k_p=rng.uniform(0.5, 4.0), k_w=rng.uniform(0.5, 4.0),
+            gamma=m @ m.T + np.eye(3), alpha=rng.uniform(0.2, 1.0, n),
+        )
+        g_rot, g_pos = so3_exp(rng.normal(size=3)).m, rng.normal(scale=3.0, size=3)
+        moved = ObserverState(
+            Rotation3(g_rot @ state.r_hat.m),
+            g_rot @ state.p_hat + g_pos,
+            state.landmarks_hat @ g_rot.T + g_pos,
+            state.b_omega_hat,
+            state.b_v_hat,
+        )
+        scheme = "implicit" if implicit else "explicit"
+        step = observer_step(state, frame, gains, 1e-3, scheme).arrays()
+        r_new, p_new, landmarks_new, b_omega_new, b_v_new = step
+        expected = (
+            g_rot @ r_new,
+            g_rot @ p_new + g_pos,
+            landmarks_new @ g_rot.T + g_pos,
+            b_omega_new,
+            b_v_new,
+        )
+        for got, want in zip(observer_step(moved, frame, gains, 1e-3, scheme).arrays(), expected):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestGainConfig:
