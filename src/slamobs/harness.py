@@ -19,10 +19,10 @@ Inputs are validated once, by ScenarioConfig.
 
 sweep advances the members that share dt (on every axis but dt, all of
 them) together in one loop (_sweep_group), over one truth and, on the gain
-axes, one measurement stream: each step calls the observer's raw helpers
-once on estimates stacked on a leading member axis. A diverging member
-leaves the batch without stopping the others, and each member reports its
-solo run's summary.
+axes, one measurement stream: each step is one _stacked_step over estimates
+stacked on a leading member axis. A diverging member drops out at that step
+without stopping the others or redoing their update, and each member
+reports its solo run's summary.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .observer import (
     _energy_raw,
     _errors_raw,
     _pose_error_rows,
+    _stacked_step,
     _step_raw,
 )
 from .scenario import ScenarioConfig
@@ -58,8 +59,7 @@ from .world import (
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
-# run buffers this many recorded steps before computing their metrics, and
-# csv_rows formats this many records at a time.
+# run buffers this many recorded steps before computing their metrics.
 RECORD_CHUNK = 1024
 
 # Sweep axis name -> the config with that parameter set to (or, for the
@@ -214,14 +214,15 @@ def _metric_columns(rows, truth, estimate, e, config: ScenarioConfig) -> tuple:
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     r_tilde, p_tilde = _pose_error_rows(rows(r_hat), rows(p_hat), rows(rot), rows(pos))
     b_omega_tilde, b_v_tilde = _bias_error_rows(config.bias, rows(b_omega_hat), rows(b_v_hat))
+    e_squared = (e * e).sum(axis=-1)
     return (
-        _error_norms(e),
+        np.sqrt(e_squared),
         _error_norms(landmarks - landmarks_hat),
         _distance_rows(r_tilde),
         _norm3(p_tilde),
         _norm3(b_omega_tilde),
         _norm3(b_v_tilde),
-        _energy_raw(e, b_omega_tilde, b_v_tilde, config.gains),
+        _energy_raw(e_squared, b_omega_tilde, b_v_tilde, config.gains),
     )
 
 
@@ -292,8 +293,7 @@ def csv_header(n: int) -> str:
 def csv_rows(records: list[MetricsRecord], n: int) -> Iterator[str]:
     """The header, then one line per record; checks every record first.
 
-    Each chunk of records is stacked into one float64 array whose rows are
-    formatted with repr, the same text as repr(float(cell)) per cell.
+    Each cell is written as repr(float(cell)).
     """
     for rec in records:
         if rec.e_norm.shape[0] != n:
@@ -301,18 +301,12 @@ def csv_rows(records: list[MetricsRecord], n: int) -> Iterator[str]:
                 f"record carries {rec.e_norm.shape[0]} landmarks, expected {n}"
             )
     yield csv_header(n)
-    for start in range(0, len(records), RECORD_CHUNK):
-        chunk = records[start : start + RECORD_CHUNK]
-        m = np.empty((len(chunk), 2 * n + 6))
-        m[:, 0] = [r.t for r in chunk]
-        m[:, 1 : n + 1] = [r.e_norm for r in chunk]
-        m[:, n + 1 : 2 * n + 1] = [r.p_err for r in chunk]
-        m[:, 2 * n + 1 :] = [
-            (r.r_tilde_dist, r.p_tilde_norm, r.b_omega_tilde_norm, r.b_v_tilde_norm, r.lyapunov)
-            for r in chunk
-        ]
-        for row in m.tolist():
-            yield ",".join(map(repr, row))
+    for r in records:
+        cells = (
+            r.t, *r.e_norm.tolist(), *r.p_err.tolist(), r.r_tilde_dist,
+            r.p_tilde_norm, r.b_omega_tilde_norm, r.b_v_tilde_norm, r.lyapunov,
+        )
+        yield ",".join(map(repr, map(float, cells)))
 
 
 def write_csv(records: list[MetricsRecord], n: int, path: str | Path) -> None:
@@ -419,10 +413,10 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     The configs differ only in their gains or noise. The truth is computed
     once per step. Members with equal noise share one measurement stream;
     otherwise each member draws from its own generator against the shared
-    noise-free measurement. One _step_raw call advances every member still
-    in the batch; a member whose update leaves the finite range is dropped
-    with that step as its aborted_step, and the step is redone for the rest.
-    Only the max_e column and the final landmark errors are recorded.
+    noise-free measurement. One _stacked_step call advances every member
+    still in the batch and drops, with that step as its aborted_step, each
+    member whose update leaves the finite range. Only the max_e column and
+    the final landmark errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
@@ -449,23 +443,16 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
             max_e[k, alive] = _error_norms(e).max(axis=-1)
             if k == steps:
                 break
-            while alive.size:
-                try:
-                    estimate = _step_raw(estimate, measurement, e, gains, dt, implicit=True)
-                    break
-                except DivergenceError as exc:
-                    failed = exc.members
+            estimate, failed = _stacked_step(estimate, measurement, e, gains, dt, implicit=True)
+            if failed.any():
                 for i in alive[failed]:
                     aborted[i] = k
                 keep = ~failed
-                alive, estimate, e, gains = (
-                    alive[keep], tuple(a[keep] for a in estimate), e[keep], gains.take(keep)
-                )
+                alive, gains = alive[keep], gains.take(keep)
                 if member_noise is not None:
                     member_noise = [p for p, kept in zip(member_noise, keep) if kept]
-                    measurement = tuple(a[keep] for a in measurement)
-            if not alive.size:
-                break
+                if not alive.size:
+                    break
     t = np.arange(steps + 1) * dt
     p_err = _error_norms(landmarks - estimate[2]).max(axis=-1)
     summaries = [(None, math.nan, math.nan, step) for step in aborted]

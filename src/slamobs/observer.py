@@ -27,11 +27,13 @@ re-projected onto the orthonormal manifold after every update.
 The step splits by the kind of data. Each formula over the landmark axis
 (the errors, the adaptation gains and landmark update, and one alpha-weighted
 moment product behind the innovation sums and the implicit solve) is one
-broadcasting numpy function, shared by one observer and by observers stacked
-on a leading member axis. The 3-vector and 3x3 algebra (the feedback solve,
-the corrected twist, the exponential, the projection, the position and bias
-updates) runs on Python floats, one observer at a time; a stack loops over
-its members, so a stacked member runs its solo step's code.
+broadcasting numpy function, shared by one observer (_step_raw) and by
+observers stacked on a leading member axis (_stacked_step). The 3-vector and
+3x3 algebra (the feedback solve, the corrected twist, the exponential, the
+projection, the position and bias updates) runs on Python floats, one
+observer at a time; a stack loops over its members, so a stacked member runs
+its solo step's code, and a member whose update leaves the finite range
+drops out of the stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -69,15 +71,12 @@ _EYE3 = np.eye(3)
 class DivergenceError(RuntimeError):
     """The observer state stopped being finite (gain / step-size blow-up).
 
-    step is the failing step index of a run. members, raised by a step of
-    members stacked on a leading axis, is the boolean mask of the members
-    that left the finite range; the others' update is well defined.
+    step is the failing step index of a run.
     """
 
-    def __init__(self, message: str, step: int | None = None, members: np.ndarray | None = None):
+    def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-        self.members = members
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class GainConfig:
 
 
 class StackedGains(NamedTuple):
-    """The GainConfigs of B members, as _step_raw reads them.
+    """The GainConfigs of B members, as _stacked_step reads them.
 
     k_p is a (B, 1) column and alpha (B, n), which broadcast over the
     landmark axis; k_w holds each member's Python float and gamma its rows
@@ -298,7 +297,7 @@ def _landmark_moments(
     - columns 4-6 hold G = sum_i y_i u_i^T in rows 0-2 and sum_i u_i in
       row 3, u_i = R_hat^T e_i / alpha_i, whence the innovation sums.
     It is the one product over the landmark axis behind both sums, for one
-    member and, stacked on a leading axis (see _step_raw), for many.
+    member and, stacked on a leading axis (see _stacked_step), for many.
     """
     z = np.empty((*e.shape[:-1], 7))
     z[..., :3] = y
@@ -423,11 +422,20 @@ def observer_step(
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
+def _landmark_part(estimate: tuple, y: np.ndarray, e: np.ndarray, gains, dt: float) -> tuple:
+    """A step's landmark-axis part, for one observer or a stack: the
+    moments and the new landmarks landmarks_hat - dt psi(e_i) e_i."""
+    return (
+        _landmark_moments(estimate[0], y, gains, e),
+        estimate[2] - (dt * adaptation_gain(e, gains.k_p))[..., None] * e,
+    )
+
+
 def _step_raw(
     estimate: tuple,
     measurement: tuple,
     e: np.ndarray,
-    gains: GainConfig | StackedGains,
+    gains: GainConfig,
     dt: float,
     implicit: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -436,23 +444,11 @@ def _step_raw(
     estimate is ObserverState.arrays(), measurement is (omega_m, v_m, y), and
     the result is the estimate after the step. Inputs are not validated, and
     the caller holds np.errstate so that an overflow surfaces as the
-    DivergenceError raised here, not as a warning.
-
-    The same step advances B members at once when estimate, e and gains
-    (a StackedGains) carry a leading member axis. Each measurement array
-    then has that axis too or is shared by every member. The formulas over
-    the landmark axis (the errors' gains and update, the innovation sums and
-    the implicit solve's Gram product) are one broadcasting numpy function
-    each. The pose and bias update runs on Python floats (_member_update),
-    where numpy's call overhead would cost more than its 3-vector and 3x3
-    arithmetic, once per member, so a stacked member gets the bits of its
-    own one-member step. If a stacked member's update leaves the finite
-    range, the DivergenceError marks every member at fault.
+    DivergenceError raised here, not as a warning. The pose and bias update
+    runs on Python floats (_member_update), where numpy's call overhead would
+    cost more than its 3-vector and 3x3 arithmetic.
     """
-    moments = _landmark_moments(estimate[0], measurement[2], gains, e)
-    landmarks_new = estimate[2] - (dt * adaptation_gain(e, gains.k_p))[..., None] * e
-    if e.ndim == 3:
-        return _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks_new)
+    moments, landmarks_new = _landmark_part(estimate, measurement[2], e, gains, dt)
     r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, _ = measurement
     try:
@@ -469,9 +465,16 @@ def _step_raw(
     return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
 
 
-def _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks_new) -> tuple:
-    """The pose and bias part of _step_raw for B stacked members: each
-    member's _member_update in turn, on the rows of one tolist per array."""
+def _stacked_step(estimate, measurement, e, gains: StackedGains, dt, implicit) -> tuple:
+    """_step_raw for B members stacked on a leading axis of estimate and e.
+
+    Each measurement array has that axis too or is shared by every member.
+    The landmark-axis formulas run once over the stack, then each member's
+    own _member_update, so a member gets the bits of its one-member step.
+    Returns (the new estimate of the members that stayed finite, the mask
+    of those that did not); a member's failure never raises.
+    """
+    moments, landmarks_new = _landmark_part(estimate, measurement[2], e, gains, dt)
     r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, _ = measurement
     count = len(r_hat)
@@ -479,7 +482,7 @@ def _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks
         omega_m, v_m = [omega_m.tolist()] * count, [v_m.tolist()] * count
     else:
         omega_m, v_m = omega_m.tolist(), v_m.tolist()
-    finite = np.isfinite(landmarks_new).all(axis=(1, 2)).tolist()
+    finite = np.isfinite(landmarks_new).all(axis=(1, 2))
     updates = []
     for i, member in enumerate(
         zip(
@@ -491,18 +494,14 @@ def _stacked_step(estimate, measurement, gains, dt, implicit, moments, landmarks
             updates.append(_member_update(*member, dt, implicit))
         except (DivergenceError, ZeroDivisionError, OverflowError, ValueError):
             finite[i] = False
-    if not all(finite):
-        failed = ~np.array(finite)
-        raise DivergenceError(
-            f"{failed.sum()} of {count} members left the finite range; reduce dt or the gains",
-            members=failed,
-        )
-    r_new, p_new, b_omega_new, b_v_new = zip(*updates)
-    return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
+            # The member's old rows hold its place; the mask drops them.
+            updates.append(member[:4])
+    r_new, p_new, *biases = map(np.array, zip(*updates))
+    return tuple(a[finite] for a in (r_new, p_new, landmarks_new, *biases)), ~finite
 
 
 def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, implicit) -> tuple:
-    """The pose and bias part of one member's _step_raw, on Python floats.
+    """The pose and bias part of one member's step, on Python floats.
 
     The estimate and measurement arrive as Python floats (r and gamma as
     rows), with the entries of _landmark_moments; returns the new rotation
@@ -557,15 +556,16 @@ def lyapunov_value(
     if e.shape != (gains.count, 3):
         raise ValueError(f"errors must be a ({gains.count}, 3) array, got shape {e.shape}")
     b_tilde = _bias_error_rows(true_bias, state.b_omega_hat.tolist(), state.b_v_hat.tolist())
-    return float(_energy_raw(e, *b_tilde, gains))
+    return float(_energy_raw((e * e).sum(axis=-1), *b_tilde, gains))
 
 
-def _energy_raw(e: np.ndarray, b_omega_tilde, b_v_tilde, gains: GainConfig):
-    """lyapunov_value on raw values: e is (..., n, 3), and each bias error is
-    three Python floats or three columns over e's leading axes."""
+def _energy_raw(e_squared: np.ndarray, b_omega_tilde, b_v_tilde, gains: GainConfig):
+    """lyapunov_value on raw values: e_squared holds the squared norms
+    ||e_i||^2, shape (..., n), and each bias error is three Python floats or
+    three columns over its leading axes."""
     g_inv = gains.gamma_inv.tolist()
     bias_sum = _quadratic3(b_omega_tilde, g_inv) + _quadratic3(b_v_tilde, g_inv)
-    return 0.5 * (((e * e).sum(axis=-1) / gains.alpha).sum(axis=-1) + bias_sum)
+    return 0.5 * ((e_squared / gains.alpha).sum(axis=-1) + bias_sum)
 
 
 def bias_error(state: ObserverState, true_bias: SensorBias) -> BiasError:

@@ -36,7 +36,7 @@ from slamobs import (
     true_step,
     write_csv,
 )
-from slamobs import harness
+from slamobs import harness, observer
 from slamobs.harness import SWEEP_AXES, StepSnapshot, csv_rows
 
 from conftest import make_compact_scenario, make_gentle_scenario
@@ -426,10 +426,16 @@ class TestCsvRows:
             rec.p_tilde_norm, rec.b_omega_tilde_norm, rec.b_v_tilde_norm, rec.lyapunov,
         ]
 
-    def test_rows_equal_repr_of_each_cell(self, monkeypatch):
-        monkeypatch.setattr(harness, "RECORD_CHUNK", 3)
+    def test_rows_equal_repr_of_each_cell(self):
         values = self.AWKWARD * 2
         records = [self.record(values[i:] + values[:i]) for i in range(len(self.AWKWARD))]
+        # numpy scalars and an integer e_norm are written as the floats they equal.
+        records.append(
+            MetricsRecord(
+                np.float64(0.1), np.array([3, 7]), np.array([0.5, np.float32(0.1)]),
+                np.float32(0.1), np.float64(1e-300), np.float32(3.4e38), 2.5, np.float64(-0.0),
+            )
+        )
         rows = list(csv_rows(records, 2))
         assert rows[0] == csv_header(2)
         assert rows[1:] == [",".join(repr(float(c)) for c in self.cells(r)) for r in records]
@@ -543,9 +549,11 @@ class TestSweep:
 
     def test_bad_member_fails_before_any_step(self, monkeypatch):
         calls = []
-        step_raw = harness._step_raw
+        stacked_step = harness._stacked_step
         monkeypatch.setattr(
-            harness, "_step_raw", lambda *args, **kw: calls.append(1) or step_raw(*args, **kw)
+            harness,
+            "_stacked_step",
+            lambda *args, **kw: calls.append(1) or stacked_step(*args, **kw),
         )
         with pytest.raises(ValueError, match="k_p"):
             sweep(make_compact_scenario(duration=0.1), "k_p", [1.0, 2.0, math.nan])
@@ -567,12 +575,27 @@ class TestSweep:
             ("k_p", [0.5, 2.0, 1e3, 1e5], [None, None, 5, 4]),
         ],
     )
-    def test_diverging_members_abort_alone(self, axis, values, aborted):
+    def test_diverging_members_abort_alone(self, monkeypatch, axis, values, aborted):
+        calls = []
+        moments = observer._landmark_moments
+        monkeypatch.setattr(
+            observer, "_landmark_moments", lambda *args: calls.append(1) or moments(*args)
+        )
         base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
         results = sweep(base, axis, values)
+        # One landmark-axis pass per step: no step is redone for the survivors.
+        assert len(calls) == base.step_count
         assert [r.aborted_step for r in results] == aborted
         for r in results:
             assert_equals_solo_run(r, SWEEP_AXES[axis](base, r.value))
+
+    def test_every_member_aborting(self):
+        base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
+        results = sweep(base, "k_p", [1e5, 2e5])
+        assert [r.aborted_step for r in results] == [4, 4]
+        for r in results:
+            assert math.isnan(r.final_max_e) and math.isnan(r.final_max_p_err)
+            assert r.settling_time is None
 
     def test_every_group_steps_in_sweep_group(self, monkeypatch):
         solo, groups = [], []
