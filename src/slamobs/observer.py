@@ -497,7 +497,12 @@ def _stacked_step(estimate, measurement, e, gains: StackedGains, dt, implicit) -
             # The member's old rows hold its place; the mask drops them.
             updates.append(member[:4])
     r_new, p_new, *biases = map(np.array, zip(*updates))
-    return tuple(a[finite] for a in (r_new, p_new, landmarks_new, *biases)), ~finite
+    new = (r_new, p_new, landmarks_new, *biases)
+    # Masking the five arrays costs about 8 us a step at 16 members, 4% of a
+    # sweep step; most steps have nothing to drop.
+    if not finite.all():
+        new = tuple(a[finite] for a in new)
+    return new, ~finite
 
 
 def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, implicit) -> tuple:
