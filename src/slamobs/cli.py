@@ -92,6 +92,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"--values lists no values (got {args.values!r})")
     base = load_scenario(args.scenario)
     results = sweep(base, args.axis, values)
     header = f"{'axis':<12} {'value':>12} {'settle_s':>10} {'final_max_e':>14} {'final_max_perr':>16} {'aborted_step':>13}"

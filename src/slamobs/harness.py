@@ -19,16 +19,20 @@ Inputs are validated once, by ScenarioConfig.
 
 sweep advances the members that share dt (on every axis but dt, all of
 them) together in one loop (_sweep_group), over one truth and, on the gain
-axes, one measurement stream: each step is one _stacked_step over estimates
-stacked on a leading member axis. A diverging member drops out at that step
-without stopping the others or redoing their update, and each member
-reports its solo run's summary.
+axes, one measurement stream. Between steps each member's pose and biases
+stay the Python floats of its float update and the landmark estimates one
+array stacked on a leading member axis; each step is one _stacked_step. A
+diverging member drops out at that step without stopping the others or
+redoing their update, and each member reports its solo run's summary. A
+gain- or noise-axis member's config is checked only in the GainConfig or
+NoiseSpec that it changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterator
 
@@ -62,16 +66,27 @@ SETTLE_HOLD = 1.0
 # run buffers this many recorded steps before computing their metrics.
 RECORD_CHUNK = 1024
 
+
+def _replaced(config: ScenarioConfig, **fields) -> ScenarioConfig:
+    """config with fields replaced by values that their own types validated.
+
+    The rest of config is not checked again. Only for fields that no
+    cross-field rule of ScenarioConfig ties to what changes: of those rules,
+    only the alpha count touches the gains, and no gain axis changes it.
+    """
+    return _trusted(ScenarioConfig, **{**vars(config), **fields})
+
+
 # Sweep axis name -> the config with that parameter set to (or, for the
 # *_scale axes, scaled by) a value.
 SWEEP_AXES = {
-    "k_p": lambda c, v: replace(c, gains=replace(c.gains, k_p=v)),
-    "k_w": lambda c, v: replace(c, gains=replace(c.gains, k_w=v)),
-    "gamma_scale": lambda c, v: replace(c, gains=replace(c.gains, gamma=c.gains.gamma * v)),
-    "alpha_scale": lambda c, v: replace(c, gains=replace(c.gains, alpha=c.gains.alpha * v)),
-    "sigma_omega": lambda c, v: replace(c, noise=replace(c.noise, sigma_omega=v)),
-    "sigma_v": lambda c, v: replace(c, noise=replace(c.noise, sigma_v=v)),
-    "sigma_y": lambda c, v: replace(c, noise=replace(c.noise, sigma_y=v)),
+    "k_p": lambda c, v: _replaced(c, gains=replace(c.gains, k_p=v)),
+    "k_w": lambda c, v: _replaced(c, gains=replace(c.gains, k_w=v)),
+    "gamma_scale": lambda c, v: _replaced(c, gains=replace(c.gains, gamma=c.gains.gamma * v)),
+    "alpha_scale": lambda c, v: _replaced(c, gains=replace(c.gains, alpha=c.gains.alpha * v)),
+    "sigma_omega": lambda c, v: _replaced(c, noise=replace(c.noise, sigma_omega=v)),
+    "sigma_v": lambda c, v: _replaced(c, noise=replace(c.noise, sigma_v=v)),
+    "sigma_y": lambda c, v: _replaced(c, noise=replace(c.noise, sigma_y=v)),
     "dt": lambda c, v: replace(c, dt=v),
 }
 
@@ -413,10 +428,13 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     The configs differ only in their gains or noise. The truth is computed
     once per step. Members with equal noise share one measurement stream;
     otherwise each member draws from its own generator against the shared
-    noise-free measurement. One _stacked_step call advances every member
-    still in the batch and drops, with that step as its aborted_step, each
-    member whose update leaves the finite range. Only the max_e column and
-    the final landmark errors are recorded.
+    noise-free measurement. Between steps each member's pose and biases stay
+    the Python floats of its float update, and only the landmark estimates
+    are one (B, n, 3) array; a step stacks the rotations and positions into
+    arrays for the landmark-axis formulas. One _stacked_step call advances
+    every member still in the batch and drops, with that step as its
+    aborted_step, each member whose update leaves the finite range. Only
+    the squared max_e column and the final landmark errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
@@ -427,36 +445,49 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     else:
         noise, rng = NoiseSpec(), None
         member_noise = [(c.noise, c.noise.make_rng()) for c in configs]
-    estimate = tuple(
-        np.repeat(a[None], len(configs), axis=0) for a in base.initial_estimates.arrays()
-    )
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = base.initial_estimates.arrays()
+    rows = (r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist())
+    members = [rows] * len(configs)
+    landmarks_hat = np.repeat(landmarks_hat[None], len(configs), axis=0)
     alive = np.arange(len(configs))
     aborted: list[int | None] = [None] * len(configs)
-    max_e = np.empty((steps + 1, len(configs)))
+    # The squares of max_e: sqrt is monotone and correctly rounded, so the
+    # root of the largest square is the largest norm, bit for bit.
+    max_e_squared = np.empty((steps + 1, len(configs)))
+    flat = chain.from_iterable
     with np.errstate(over="ignore", invalid="ignore"):
         for k, _, twist, rot, pos in _truth(base):
             measurement = _sense_raw(rot, pos, landmarks, twist, bias, noise, rng)
             if member_noise is not None:
                 draws = [_add_noise_raw(measurement, n, r) for n, r in member_noise]
                 measurement = tuple(np.stack(parts) for parts in zip(*draws))
-            e = _errors_raw(*estimate[:3], measurement[2])
-            max_e[k, alive] = _error_norms(e).max(axis=-1)
+            # fromiter over the flat floats takes half the time of np.array
+            # over the nested rows.
+            r_rows, p_rows, *_ = zip(*members)
+            r_hat = np.fromiter(flat(flat(r_rows)), float, 9 * alive.size).reshape(-1, 3, 3)
+            p_hat = np.fromiter(flat(p_rows), float, 3 * alive.size).reshape(-1, 3)
+            e = _errors_raw(r_hat, p_hat, landmarks_hat, measurement[2])
+            e_squared = (e * e).sum(axis=-1)
+            max_e_squared[k, alive] = e_squared.max(axis=-1)
             if k == steps:
                 break
-            estimate, failed = _stacked_step(estimate, measurement, e, gains, dt, implicit=True)
+            (members, landmarks_hat), failed = _stacked_step(
+                (members, landmarks_hat), r_hat, measurement, e, e_squared,
+                gains, dt, implicit=True,
+            )
             if failed.any():
                 for i in alive[failed]:
                     aborted[i] = k
                 keep = ~failed
                 alive, gains = alive[keep], gains.take(keep)
                 if member_noise is not None:
-                    member_noise = [p for p, kept in zip(member_noise, keep) if kept]
+                    member_noise = list(compress(member_noise, keep))
                 if not alive.size:
                     break
     t = np.arange(steps + 1) * dt
-    p_err = _error_norms(landmarks - estimate[2]).max(axis=-1)
+    p_err = _error_norms(landmarks - landmarks_hat).max(axis=-1)
     summaries = [(None, math.nan, math.nan, step) for step in aborted]
     for j, i in enumerate(alive):
-        column = max_e[:, i]
+        column = np.sqrt(max_e_squared[:, i])
         summaries[i] = (settling_time(t, column), float(column[-1]), float(p_err[j]), None)
     return summaries

@@ -31,7 +31,8 @@ broadcasting numpy function, shared by one observer (_step_raw) and by
 observers stacked on a leading member axis (_stacked_step). The 3-vector and
 3x3 algebra (the feedback solve, the corrected twist, the exponential, the
 projection, the position and bias updates) runs on Python floats, one
-observer at a time; a stack loops over its members, so a stacked member runs
+observer at a time; a stack keeps each member's pose and biases as those
+floats between steps and loops over its members, so a stacked member runs
 its solo step's code, and a member whose update leaves the finite range
 drops out of the stack alone.
 
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -237,7 +239,12 @@ def adaptation_gain(e, k_p: float) -> float | np.ndarray:
     one gain per row.
     """
     a = np.asarray(e, dtype=float)
-    return k_p * 0.25 * (1.0 + (a * a).sum(axis=-1))
+    return _gain_of_squares((a * a).sum(axis=-1), k_p)
+
+
+def _gain_of_squares(e_squared, k_p):
+    """adaptation_gain of the squared error norms ||e||^2."""
+    return k_p * 0.25 * (1.0 + e_squared)
 
 
 def error_geometry(e, k_p: float) -> LandmarkError:
@@ -422,12 +429,13 @@ def observer_step(
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
-def _landmark_part(estimate: tuple, y: np.ndarray, e: np.ndarray, gains, dt: float) -> tuple:
+def _landmark_part(r_hat, landmarks_hat, y, e, e_squared, gains, dt: float) -> tuple:
     """A step's landmark-axis part, for one observer or a stack: the
-    moments and the new landmarks landmarks_hat - dt psi(e_i) e_i."""
+    moments and the new landmarks landmarks_hat - dt psi(e_i) e_i, with
+    e_squared the squared norms ||e_i||^2."""
     return (
-        _landmark_moments(estimate[0], y, gains, e),
-        estimate[2] - (dt * adaptation_gain(e, gains.k_p))[..., None] * e,
+        _landmark_moments(r_hat, y, gains, e),
+        landmarks_hat - (dt * _gain_of_squares(e_squared, gains.k_p))[..., None] * e,
     )
 
 
@@ -448,9 +456,11 @@ def _step_raw(
     runs on Python floats (_member_update), where numpy's call overhead would
     cost more than its 3-vector and 3x3 arithmetic.
     """
-    moments, landmarks_new = _landmark_part(estimate, measurement[2], e, gains, dt)
-    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, _ = measurement
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    omega_m, v_m, y = measurement
+    moments, landmarks_new = _landmark_part(
+        r_hat, landmarks_hat, y, e, (e * e).sum(axis=-1), gains, dt
+    )
     try:
         r_new, p_new, b_omega_new, b_v_new = _member_update(
             r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist(),
@@ -465,44 +475,43 @@ def _step_raw(
     return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
 
 
-def _stacked_step(estimate, measurement, e, gains: StackedGains, dt, implicit) -> tuple:
-    """_step_raw for B members stacked on a leading axis of estimate and e.
+def _stacked_step(stack, r_hat, measurement, e, e_squared, gains: StackedGains, dt, implicit):
+    """_step_raw for B members stacked on a leading axis.
 
-    Each measurement array has that axis too or is shared by every member.
+    stack is (members, landmarks_hat): each member's (r_hat rows, p_hat,
+    b_omega_hat, b_v_hat) as the Python floats that _member_update takes
+    and returns, and every member's landmarks_hat in one (B, n, 3) array.
+    r_hat holds the members' rotations as one (B, 3, 3) array, e their
+    landmark errors and e_squared the errors' squared norms. Each
+    measurement array has the member axis too or is shared by every member.
     The landmark-axis formulas run once over the stack, then each member's
     own _member_update, so a member gets the bits of its one-member step.
-    Returns (the new estimate of the members that stayed finite, the mask
-    of those that did not); a member's failure never raises.
+    Returns (the new stack of the members that stayed finite, the mask of
+    those that did not); a member's failure never raises.
     """
-    moments, landmarks_new = _landmark_part(estimate, measurement[2], e, gains, dt)
-    r_hat, p_hat, _, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, _ = measurement
-    count = len(r_hat)
+    members, landmarks_hat = stack
+    omega_m, v_m, y = measurement
+    moments, landmarks_new = _landmark_part(r_hat, landmarks_hat, y, e, e_squared, gains, dt)
+    count = len(members)
     if omega_m.ndim == 1:
         omega_m, v_m = [omega_m.tolist()] * count, [v_m.tolist()] * count
     else:
         omega_m, v_m = omega_m.tolist(), v_m.tolist()
     finite = np.isfinite(landmarks_new).all(axis=(1, 2))
     updates = []
-    for i, member in enumerate(
-        zip(
-            r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist(),
-            omega_m, v_m, moments.tolist(), gains.k_w, gains.gamma,
-        )
+    for i, (rows, *inputs) in enumerate(
+        zip(members, omega_m, v_m, moments.tolist(), gains.k_w, gains.gamma)
     ):
         try:
-            updates.append(_member_update(*member, dt, implicit))
+            updates.append(_member_update(*rows, *inputs, dt, implicit))
         except (DivergenceError, ZeroDivisionError, OverflowError, ValueError):
             finite[i] = False
             # The member's old rows hold its place; the mask drops them.
-            updates.append(member[:4])
-    r_new, p_new, *biases = map(np.array, zip(*updates))
-    new = (r_new, p_new, landmarks_new, *biases)
-    # Masking the five arrays costs about 8 us a step at 16 members, 4% of a
-    # sweep step; most steps have nothing to drop.
+            updates.append(rows)
+    # Most steps have nothing to drop.
     if not finite.all():
-        new = tuple(a[finite] for a in new)
-    return new, ~finite
+        updates, landmarks_new = list(compress(updates, finite)), landmarks_new[finite]
+    return (updates, landmarks_new), ~finite
 
 
 def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, implicit) -> tuple:

@@ -223,10 +223,16 @@ class TestSweep:
         assert out[1].split()[0] == "k_p"
 
     def test_empty_values(self, scenario_file, capsys):
-        code = main(["sweep", "--scenario", str(scenario_file), "--axis", "k_p",
-                     "--values", ""])
-        assert code == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1
+        # A list with no values is a usage mistake, not an empty table.
+        for values in ("", ",", " , "):
+            code = main(["sweep", "--scenario", str(scenario_file), "--axis", "k_p",
+                         "--values", values])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: --values lists no values (got {values!r})"
+            ]
 
     def test_unknown_axis_exits_one(self, scenario_file, capsys):
         code = main(["sweep", "--scenario", str(scenario_file), "--axis", "bogus",

@@ -20,14 +20,14 @@ import pytest
 
 from slamobs import (
     bias_error,
-    compute_metrics,
+    harness,
     landmark_errors,
     pose_error,
     reference_scenario,
     run,
     settling_time,
-    trajectory,
 )
+from slamobs.observer import _pose_error_rows
 
 from conftest import make_compact_scenario
 
@@ -67,39 +67,47 @@ class TestCompactScenario:
 
 @pytest.fixture(scope="module")
 def series():
-    """One 16 s reference-scenario run at dt = 5e-5, streamed into arrays."""
+    """One 16 s reference-scenario run at dt = 5e-5, streamed into arrays.
+
+    One pass over the run's step loop: the metric series from chunks of
+    records, as run computes them; the tail's pose errors on floats, as
+    pose_error computes them; and the final step as a snapshot.
+    """
     config = reference_scenario().with_overrides(dt=STABLE_DT, duration=16.0)
-    t, max_e, values, bo, bv = [], [], [], [], []
-    tail_start = int(0.8 * config.step_count)
+    steps = config.step_count
+    columns = {name: [] for name in ("t", "max_e", "values", "b_omega", "b_v")}
+    chunk = []
+    tail_start = int(0.8 * steps)
     worst_tail_step = 0.0
     prev_pose_err = None
-    final = None
-    for snap in trajectory(config):
-        rec = compute_metrics(snap, config)
-        t.append(rec.t)
-        max_e.append(rec.max_e)
-        values.append(rec.lyapunov)
-        bo.append(rec.b_omega_tilde_norm)
-        bv.append(rec.b_v_tilde_norm)
-        if snap.k >= tail_start:
-            err = pose_error(snap.state, snap.truth)
+    for step in harness._steps(config):
+        k, t, truth, estimate, _, e = step
+        chunk.append((t, *truth, *estimate, e))
+        if len(chunk) == harness.RECORD_CHUNK or k == steps:
+            t_col, rot, pos, *estimate_cols, e_col = map(np.array, zip(*chunk))
+            e_norm, _, _, _, bo, bv, values = harness._metric_columns(
+                lambda a: np.moveaxis(a, 0, -1),  # (K,) columns
+                (rot, pos, config.landmarks), estimate_cols, e_col, config,
+            )
+            for name, column in zip(columns, (t_col, e_norm.max(axis=-1), values, bo, bv)):
+                columns[name].append(column)
+            chunk = []
+        if k >= tail_start:
+            r_tilde, p_tilde = map(np.array, _pose_error_rows(
+                *(a.tolist() for a in (estimate[0], estimate[1], *truth))
+            ))
             if prev_pose_err is not None:
                 worst_tail_step = max(
                     worst_tail_step,
-                    float(np.linalg.norm(err.r_tilde.m - prev_pose_err[0])),
-                    float(np.linalg.norm(err.p_tilde - prev_pose_err[1])),
+                    float(np.linalg.norm(r_tilde - prev_pose_err[0])),
+                    float(np.linalg.norm(p_tilde - prev_pose_err[1])),
                 )
-            prev_pose_err = (err.r_tilde.m, err.p_tilde)
-        final = snap
+            prev_pose_err = (r_tilde, p_tilde)
     return {
         "config": config,
-        "t": np.array(t),
-        "max_e": np.array(max_e),
-        "values": np.array(values),
-        "b_omega": np.array(bo),
-        "b_v": np.array(bv),
+        **{name: np.concatenate(parts) for name, parts in columns.items()},
         "worst_tail_step": worst_tail_step,
-        "final": final,
+        "final": harness._snapshot(config, *step),
     }
 
 

@@ -503,6 +503,43 @@ class TestFit:
             fit_exponential_decay(np.array([0.0]), np.array([1.0]))
 
 
+class TestSquaredNorms:
+    # The sweep squares the landmark errors once per step: the squares feed
+    # the adaptation gain, and max_e is the root of their largest.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.integers(1, 5),
+        n=st.integers(1, 12),
+        special=st.lists(
+            st.tuples(st.sampled_from([math.inf, -math.inf, math.nan, 1e200]), st.booleans()),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_squaring_gives_norms_and_gains(self, b, n, special, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(b, n, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(b, n, 1))
+        for value, whole_row in special:
+            i, j = rng.integers(b), rng.integers(n)
+            if whole_row:
+                e[i, j] = value
+            else:
+                e[i, j, rng.integers(3)] = value
+        k_p = rng.uniform(0.1, 10.0, size=(b, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_squared = (e * e).sum(axis=-1)
+            assert np.array_equal(
+                np.sqrt(e_squared.max(axis=-1)),
+                harness._error_norms(e).max(axis=-1),
+                equal_nan=True,
+            )
+            assert np.array_equal(
+                observer.adaptation_gain(e, k_p),
+                observer._gain_of_squares(e_squared, k_p),
+                equal_nan=True,
+            )
+
+
 class TestSweep:
     def test_empty_values(self):
         assert sweep(make_compact_scenario(duration=0.1), "k_p", []) == []

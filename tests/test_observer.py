@@ -387,26 +387,44 @@ def _stack_members(rng):
     return estimates, [(omega_m[i], v_m[i], y[i]) for i in range(3)], e, gains
 
 
-def _stack(estimates, measurements):
-    """The stacked estimate and measurement of per-member ones."""
-    return (
-        tuple(np.stack(parts) for parts in zip(*estimates)),
-        tuple(np.stack(parts) for parts in zip(*measurements)),
+def _run_stack(estimates, measurement, e, gains, dt, implicit):
+    """observer._stacked_step on per-member estimates laid out as
+    ObserverState.arrays(), with a stacked or shared measurement.
+
+    The stack holds each member's pose and biases as Python-float rows and
+    every member's landmarks in one array, as the sweep keeps them. Returns
+    the new estimate of each member that stayed finite, as arrays in the
+    same layout, and the mask of the members that did not.
+    """
+    members = [tuple(a.tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
+    stack = members, np.stack([estimate[2] for estimate in estimates])
+    r_hat = np.stack([estimate[0] for estimate in estimates])
+    (members, landmarks_hat), failed = observer._stacked_step(
+        stack, r_hat, measurement, e, (e * e).sum(axis=-1),
+        observer.StackedGains.of(list(gains)), dt, implicit,
     )
+    assert len(members) == len(landmarks_hat) == (~failed).sum()
+    return [
+        (np.array(r), np.array(p), landmarks, np.array(bo), np.array(bv))
+        for (r, p, bo, bv), landmarks in zip(members, landmarks_hat)
+    ], failed
+
+
+def _stacked_measurement(measurements):
+    return tuple(np.stack(parts) for parts in zip(*measurements))
 
 
 class TestStackedStep:
     def test_diverging_member_is_marked(self, rng):
         estimates, measurements, e, gains = _stack_members(rng)
         e[2] = 1e160
-        estimate, measurement = _stack(estimates, measurements)
         with np.errstate(over="ignore", invalid="ignore"):
-            new, failed = observer._stacked_step(
-                estimate, measurement, e, observer.StackedGains.of(gains), 0.01, True
+            new, failed = _run_stack(
+                estimates, _stacked_measurement(measurements), e, gains, 0.01, True
             )
         assert failed.tolist() == [False, False, True]
-        assert [a.shape[0] for a in new] == [2] * 5
-        assert all(np.isfinite(a).all() for a in new)
+        assert len(new) == 2
+        assert all(np.isfinite(a).all() for member in new for a in member)
 
 
 def _member(rng, n, kind, omega_m):
@@ -462,19 +480,19 @@ class TestMemberStepProperty:
             measurements = [measurements[0]] * 3
         members = [_member(rng, n, kind, m[0]) for kind, m in zip(kinds, measurements)]
         estimates, errors, gains = zip(*members)
-        batch, failed = observer._stacked_step(
-            tuple(np.stack(parts) for parts in zip(*estimates)),
-            measurements[0] if shared else tuple(np.stack(p) for p in zip(*measurements)),
+        batch, failed = _run_stack(
+            estimates,
+            measurements[0] if shared else _stacked_measurement(measurements),
             np.stack(errors),
-            observer.StackedGains.of(list(gains)),
+            gains,
             0.01,
             implicit,
         )
         assert not failed.any()
         for i, ((estimate, e, member_gains), m) in enumerate(zip(members, measurements)):
             solo = observer._step_raw(estimate, m, e, member_gains, 0.01, implicit)
-            for got, want in zip(batch, solo):
-                assert np.array_equal(got[i], want)
+            for got, want in zip(batch[i], solo):
+                assert np.array_equal(got, want)
 
 
 class TestMemberDivergence:
@@ -525,17 +543,17 @@ class TestMemberDivergence:
             return exp_floats(w, v)
 
         monkeypatch.setattr(observer, "_exp_floats", overflow_on_second_member)
-        estimate, measurement = _stack(estimates, measurements)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new, failed = observer._stacked_step(
-                estimate, measurement, e, observer.StackedGains.of(gains), dt, True
+            new, failed = _run_stack(
+                estimates, _stacked_measurement(measurements), e, gains, dt, True
             )
         assert failed.tolist() == [False, True, False]
         assert len(calls) == 3
-        for j, want_member in enumerate(solo):
-            for got, want in zip(new, want_member):
-                assert np.array_equal(got[j], want)
+        assert len(new) == 2
+        for got_member, want_member in zip(new, solo):
+            for got, want in zip(got_member, want_member):
+                assert np.array_equal(got, want)
 
 
 class TestDiagnostics:
