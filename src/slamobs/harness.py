@@ -5,32 +5,40 @@ from that measurement and the current states, and then the observer and the
 truth advance by one step. The final step is always recorded, stride or
 not, so "final error" summaries are well defined.
 
-run and trajectory share one loop (_steps) over raw float64 arrays: it calls
-the raw helpers that observer_step, true_step and sense wrap, forms the
-landmark errors once per step for both the metrics and the update, and takes
-the truth from _truth, which computes the pose increment once per twist
-knot. trajectory wraps every step into a StepSnapshot. run copies each
-recorded step's arrays into buffers of RECORD_CHUNK records and computes
-every metric column of a full buffer at once (_metric_columns);
-compute_metrics is the same computation over one snapshot, with the same
-bits. Both evaluate here, where the truth is available, the truth-aware
-diagnostics that observer defines; the observer's step never sees the truth.
-Inputs are validated once, by ScenarioConfig.
+run and trajectory share one loop (_steps). Between steps it keeps P_hat and
+the biases as the Python floats of the observer's float update and R_hat as
+the array that the landmark errors and the update (_step_raw, which
+observer_step wraps too) both take. The truth (_truth) is chained on Python
+floats as true_step computes it, with the pose increment and the velocity
+measurements computed once per twist knot, and its landmarks are measured
+one block of at most RECORD_CHUNK steps at a time in one product
+(world._measure, which sense calls with one pose). Noise is drawn per step,
+in sense's order, so a loop of observer_step, sense and true_step
+reproduces trajectory bit for bit. trajectory wraps every step into a
+StepSnapshot. run copies each recorded step's values into buffers of
+RECORD_CHUNK records and computes every metric column of a full buffer at
+once (_metric_columns); compute_metrics is the same computation over one
+snapshot, with the same bits. Both evaluate here, where the truth is
+available, the truth-aware diagnostics that observer defines; the
+observer's step never sees the truth. Inputs are validated once, by
+ScenarioConfig.
 
 sweep advances the members that share dt (on every axis but dt, all of
-them) together in one loop (_sweep_group), over one truth and, on the gain
-axes, one measurement stream. Between steps each member's pose and biases
-stay the Python floats of its float update and the landmark estimates one
-array stacked on a leading member axis; each step is one _stacked_step. A
-diverging member drops out at that step without stopping the others or
-redoing their update, and each member reports its solo run's summary. A
-gain- or noise-axis member's config is checked only in the GainConfig or
-NoiseSpec that it changes.
+them) together in one loop (_sweep_group), over one truth and its
+measurement blocks and, on the gain axes, one measurement stream. Between
+steps each member's pose and biases stay the Python floats of its float
+update and the landmark estimates one array stacked on a leading member
+axis; each step is one _stacked_step. A diverging member drops out at that
+step without stopping the others or redoing their update, and each member
+reports its solo run's summary. A gain- or noise-axis member's config is
+checked only in the GainConfig or NoiseSpec that it changes; a k_p or k_w
+member only in that one value.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 from pathlib import Path
@@ -38,32 +46,36 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, _distance_rows, _norm3, _trusted
+from .geometry import (
+    Pose,
+    Rotation3,
+    _affine3,
+    _distance_rows,
+    _mul3,
+    _norm3,
+    _project_rows,
+    _trusted,
+)
 from .observer import (
     DivergenceError,
+    GainConfig,
     ObserverState,
     StackedGains,
     _bias_error_rows,
     _energy_raw,
     _errors_raw,
     _pose_error_rows,
+    _positive_gain,
     _stacked_step,
     _step_raw,
 )
 from .scenario import ScenarioConfig
-from .world import (
-    NoiseSpec,
-    SensorFrame,
-    TrueState,
-    _add_noise_raw,
-    _increment_raw,
-    _sense_raw,
-    _true_step_raw,
-)
+from .world import NoiseSpec, SensorFrame, TrueState, _add_noise_raw, _increment_raw, _measure
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
-# run buffers this many recorded steps before computing their metrics.
+# run buffers this many recorded steps before computing their metrics, and
+# the truth is measured this many steps at a time.
 RECORD_CHUNK = 1024
 
 
@@ -77,11 +89,21 @@ def _replaced(config: ScenarioConfig, **fields) -> ScenarioConfig:
     return _trusted(ScenarioConfig, **{**vars(config), **fields})
 
 
+def _with_gain(config: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
+    """config with the scalar gain name (k_p or k_w) set to value.
+
+    Only the new value is checked: the rest of the GainConfig, gamma's
+    inverse included, is the base's, already validated.
+    """
+    gains = _trusted(GainConfig, **{**vars(config.gains), name: _positive_gain(name, value)})
+    return _replaced(config, gains=gains)
+
+
 # Sweep axis name -> the config with that parameter set to (or, for the
 # *_scale axes, scaled by) a value.
 SWEEP_AXES = {
-    "k_p": lambda c, v: _replaced(c, gains=replace(c.gains, k_p=v)),
-    "k_w": lambda c, v: _replaced(c, gains=replace(c.gains, k_w=v)),
+    "k_p": lambda c, v: _with_gain(c, "k_p", v),
+    "k_w": lambda c, v: _with_gain(c, "k_w", v),
     "gamma_scale": lambda c, v: _replaced(c, gains=replace(c.gains, gamma=c.gains.gamma * v)),
     "alpha_scale": lambda c, v: _replaced(c, gains=replace(c.gains, alpha=c.gains.alpha * v)),
     "sigma_omega": lambda c, v: _replaced(c, noise=replace(c.noise, sigma_omega=v)),
@@ -130,43 +152,66 @@ class StepSnapshot:
 
 
 def _truth(config: ScenarioConfig):
-    """The true motion for k = 0 .. step_count.
+    """The true motion and its noise-free measurements for k = 0 .. step_count.
 
-    Yields (k, t, twist, rot, pos): the true pose at t = k * dt and the twist
-    held over the next step. The pose increment depends only on the twist,
-    so it is computed once per knot.
+    Yields (k, t, rot, pos, measurement): the true pose at t = k * dt as
+    arrays and the (omega_m, v_m, y) measured there without noise. The pose
+    is chained on Python floats, as true_step computes it. The pose
+    increment and the velocity measurements depend only on the twist, so
+    they are computed once per knot. The landmarks are measured one block of
+    at most RECORD_CHUNK steps at a time, in one product (_measure). No
+    yielded array is modified afterwards.
     """
     steps, dt = config.step_count, config.dt
-    rot, pos = config.initial_pose.rotation.m, config.initial_pose.position
-    increment_twist = increment = None
-    for k in range(steps + 1):
-        t = k * dt
-        twist = config.twist_profile.at(t)
-        yield k, t, twist, rot, pos
-        if twist is not increment_twist:
-            increment_twist, increment = twist, _increment_raw(twist, dt)
-        rot, pos = _true_step_raw(rot, pos, *increment)
+    landmarks, bias, profile = config.landmarks, config.bias, config.twist_profile
+    rot, pos = config.initial_pose.rotation.m.tolist(), config.initial_pose.position.tolist()
+    knot = None
+    for start in range(0, steps + 1, RECORD_CHUNK):
+        block = range(start, min(start + RECORD_CHUNK, steps + 1))
+        # Flat doubles, not the rows: a block of rows would hold its floats
+        # as Python objects, about six times the memory.
+        rots, positions, velocities = array("d"), array("d"), []
+        for k in block:
+            twist = profile.at(k * dt)
+            if twist is not knot:
+                knot, (step_rot, step_pos) = twist, _increment_raw(twist, dt)
+                velocity = (twist.omega + bias.omega, twist.vel + bias.vel)
+            rots.extend(rot[0])
+            rots.extend(rot[1])
+            rots.extend(rot[2])
+            positions.extend(pos)
+            velocities.append(velocity)
+            rot, pos = _project_rows(_mul3(rot, step_rot)), _affine3(rot, step_pos, pos)
+        rots = np.frombuffer(rots).reshape(-1, 3, 3)
+        positions = np.frombuffer(positions).reshape(-1, 3)
+        y = _measure(rots, positions, landmarks, bias)
+        for k, rot_k, pos_k, (omega_m, v_m), y_k in zip(block, rots, positions, velocities, y):
+            yield k, k * dt, rot_k, pos_k, (omega_m, v_m, y_k)
 
 
 def _steps(config: ScenarioConfig):
-    """The co-simulation loop on raw arrays, for k = 0 .. step_count.
+    """The co-simulation loop, for k = 0 .. step_count.
 
     Yields (k, t, (rot, pos), estimate, (omega_m, v_m, y), e) before the k-th
-    update, where estimate is laid out as ObserverState.arrays() and e are the
+    update. estimate is (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat)
+    with R_hat, P_hat and the landmark estimates as the arrays that the
+    errors took and the biases as three Python floats each; e are the
     landmark errors of that estimate and measurement. No yielded array is
     modified afterwards, so callers may keep them.
     """
-    landmarks = config.landmarks
-    bias, noise, gains = config.bias, config.noise, config.gains
+    noise, gains = config.noise, config.gains
     rng = noise.make_rng()
     steps = config.step_count
     dt = config.dt
-    estimate = config.initial_estimates.arrays()
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = config.initial_estimates.arrays()
+    estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t, twist, rot, pos in _truth(config):
-            measurement = _sense_raw(rot, pos, landmarks, twist, bias, noise, rng)
-            e = _errors_raw(*estimate[:3], measurement[2])
-            yield k, t, (rot, pos), estimate, measurement, e
+        for k, t, rot, pos, measurement in _truth(config):
+            measurement = _add_noise_raw(measurement, noise, rng)
+            r_hat, p, landmarks_hat, b_omega, b_v = estimate
+            p_hat = np.array(p)
+            e = _errors_raw(r_hat, p_hat, landmarks_hat, measurement[2])
+            yield k, t, (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega, b_v), measurement, e
             if k == steps:
                 break
             try:
@@ -181,10 +226,13 @@ def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> 
     """Wrap one step of _steps into the public value types.
 
     Every value derives from the validated config through the loop, so the
-    types are built without re-validation.
+    types are built without re-validation. The true pose and a noise-free y
+    are rows of the loop's block arrays; they are copied, so that a kept
+    snapshot does not keep its whole block alive.
     """
     (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) = truth, estimate
     omega_m, v_m, y = measurement
+    rot, pos, y = rot.copy(), pos.copy(), y.copy()
     pose = _trusted(Pose, rotation=_trusted(Rotation3, m=rot), position=pos)
     return StepSnapshot(
         k,
@@ -195,8 +243,8 @@ def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> 
             r_hat=_trusted(Rotation3, m=r_hat),
             p_hat=p_hat,
             landmarks_hat=landmarks_hat,
-            b_omega_hat=b_omega_hat,
-            b_v_hat=b_v_hat,
+            b_omega_hat=np.array(b_omega_hat),
+            b_v_hat=np.array(b_v_hat),
         ),
         _trusted(SensorFrame, omega_m=omega_m, v_m=v_m, y=y, t=t),
         e,
@@ -425,8 +473,9 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     """(settling_time, final_max_e, final_max_p_err, aborted_step) of each
     config's run, with all members stepped together.
 
-    The configs differ only in their gains or noise. The truth is computed
-    once per step. Members with equal noise share one measurement stream;
+    The configs differ only in their gains or noise. The truth and its
+    noise-free measurements are computed once, by _truth, as for one run.
+    Members with equal noise share one measurement stream;
     otherwise each member draws from its own generator against the shared
     noise-free measurement. Between steps each member's pose and biases stay
     the Python floats of its float update, and only the landmark estimates
@@ -438,7 +487,7 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
-    landmarks, bias = base.landmarks, base.bias
+    landmarks = base.landmarks
     gains = StackedGains.of([c.gains for c in configs])
     if all(c.noise == base.noise for c in configs):
         noise, rng, member_noise = base.noise, base.noise.make_rng(), None
@@ -456,8 +505,8 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     max_e_squared = np.empty((steps + 1, len(configs)))
     flat = chain.from_iterable
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, _, twist, rot, pos in _truth(base):
-            measurement = _sense_raw(rot, pos, landmarks, twist, bias, noise, rng)
+        for k, _, _, _, measurement in _truth(base):
+            measurement = _add_noise_raw(measurement, noise, rng)
             if member_noise is not None:
                 draws = [_add_noise_raw(measurement, n, r) for n, r in member_noise]
                 measurement = tuple(np.stack(parts) for parts in zip(*draws))

@@ -31,10 +31,13 @@ broadcasting numpy function, shared by one observer (_step_raw) and by
 observers stacked on a leading member axis (_stacked_step). The 3-vector and
 3x3 algebra (the feedback solve, the corrected twist, the exponential, the
 projection, the position and bias updates) runs on Python floats, one
-observer at a time; a stack keeps each member's pose and biases as those
-floats between steps and loops over its members, so a stacked member runs
-its solo step's code, and a member whose update leaves the finite range
-drops out of the stack alone.
+observer at a time (_member_update). One observer's step (_step_raw, which
+observer_step and the harness loop call) takes and returns P_hat and the
+biases as those floats and R_hat as the array that the landmark-axis
+formulas take; a stack keeps each member's pose and biases as those floats
+between steps and loops over its members, so a stacked member runs its solo
+step's code, and a member whose update leaves the finite range drops out of
+the stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -127,10 +130,7 @@ class GainConfig:
 
     def __post_init__(self) -> None:
         for name in ("k_p", "k_w"):
-            value = float(getattr(self, name))
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _positive_gain(name, getattr(self, name)))
         g = np.asarray(self.gamma, dtype=float)
         if g.shape == ():
             # Not g * I: an infinite g times the zero off-diagonals would warn.
@@ -162,6 +162,14 @@ class GainConfig:
     @property
     def count(self) -> int:
         return self.alpha.shape[0]
+
+
+def _positive_gain(name: str, value) -> float:
+    """value as a positive, finite float, or ValueError naming the gain."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 class StackedGains(NamedTuple):
@@ -417,9 +425,11 @@ def observer_step(
         raise ValueError(
             f"gains carry {gains.count} alpha values, observer tracks {state.count}"
         )
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
+    estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         r_new, *rest = _step_raw(
-            state.arrays(),
+            estimate,
             (frame.omega_m, frame.v_m, frame.y),
             landmark_errors(state, frame),
             gains,
@@ -446,15 +456,18 @@ def _step_raw(
     gains: GainConfig,
     dt: float,
     implicit: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """observer_step on raw arrays, given the errors e of this state and frame.
+) -> tuple:
+    """observer_step on raw values, given the errors e of this state and frame.
 
-    estimate is ObserverState.arrays(), measurement is (omega_m, v_m, y), and
-    the result is the estimate after the step. Inputs are not validated, and
-    the caller holds np.errstate so that an overflow surfaces as the
-    DivergenceError raised here, not as a warning. The pose and bias update
-    runs on Python floats (_member_update), where numpy's call overhead would
-    cost more than its 3-vector and 3x3 arithmetic.
+    estimate is (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) with
+    R_hat and the landmark estimates as the arrays that the landmark-axis
+    formulas take, and P_hat and the biases as the three Python floats each
+    that _member_update takes and returns; the result is the estimate after
+    the step in the same layout. measurement is (omega_m, v_m, y) as
+    arrays. Inputs are not validated, and the caller holds np.errstate so
+    that an overflow surfaces as the DivergenceError raised here, not as a
+    warning. The pose and bias update runs on Python floats, where numpy's
+    call overhead would cost more than its 3-vector and 3x3 arithmetic.
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, y = measurement
@@ -463,7 +476,7 @@ def _step_raw(
     )
     try:
         r_new, p_new, b_omega_new, b_v_new = _member_update(
-            r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist(),
+            r_hat.tolist(), p_hat, b_omega_hat, b_v_hat,
             omega_m.tolist(), v_m.tolist(), moments.tolist(),
             gains.k_w, gains.gamma.tolist(), dt, implicit,
         )
@@ -472,7 +485,7 @@ def _step_raw(
         raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
-    return np.array(r_new), np.array(p_new), landmarks_new, np.array(b_omega_new), np.array(b_v_new)
+    return np.array(r_new), p_new, landmarks_new, b_omega_new, b_v_new
 
 
 def _stacked_step(stack, r_hat, measurement, e, e_squared, gains: StackedGains, dt, implicit):

@@ -4,6 +4,10 @@ Integrates the true kinematics with the exact exponential map (the twist is
 held constant over each step, so the group structure is preserved instead of
 being approximated by an Euler or Runge-Kutta update) and synthesizes biased,
 optionally noisy body-frame measurements of velocity and landmark positions.
+The pose and its increment are computed on Python floats. The landmark
+measurement has one body (_measure), one product over a block of K poses:
+sense calls it with K = 1, and the harness with blocks of its chained truth,
+which get each pose's bits from it.
 
 A run is sequential because the noise generator threads through it; distinct
 runs with their own state and generator may execute concurrently.
@@ -140,48 +144,35 @@ def _increment_raw(u: Twist, dt: float) -> tuple[tuple, tuple]:
     return _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
 
 
-def _true_step_raw(
-    rot: np.ndarray, pos: np.ndarray, step_rot: tuple, step_pos: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a pose increment (see _increment_raw) to the true (rotation,
-    position), re-projecting; the arithmetic runs on Python floats."""
-    r = rot.tolist()
-    return np.array(_project_rows(_mul3(r, step_rot))), np.array(
-        _affine3(r, step_pos, pos.tolist())
-    )
-
-
 def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """Advance the true pose by the exact exponential of the twist over dt.
 
     Landmarks are fixed and carried through untouched; the rotation is
-    re-projected so orthonormality cannot drift over long runs.
+    re-projected so orthonormality cannot drift over long runs. The
+    arithmetic runs on Python floats, as in the harness's chained truth.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    rot, pos = _true_step_raw(
-        state.pose.rotation.m, state.pose.position, *_increment_raw(u, dt)
-    )
+    step_rot, step_pos = _increment_raw(u, dt)
+    r = state.pose.rotation.m.tolist()
+    rot = np.array(_project_rows(_mul3(r, step_rot)))
+    pos = np.array(_affine3(r, step_pos, state.pose.position.tolist()))
     return TrueState(Pose(_trusted(Rotation3, m=rot), pos), state.landmarks)
 
 
-def _sense_raw(
-    rot: np.ndarray,
-    pos: np.ndarray,
-    landmarks: np.ndarray,
-    u: Twist,
-    bias: SensorBias,
-    noise: NoiseSpec,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_m, v_m, y) measured at the true pose (rot, pos); see sense.
+def _measure(
+    rot: np.ndarray, pos: np.ndarray, landmarks: np.ndarray, bias: SensorBias
+) -> np.ndarray:
+    """The noise-free landmark measurements R^T (p_i - P) + bias of K true
+    poses, rot (K, 3, 3) and pos (K, 3), as one (K, n, 3) array.
 
-    rng may be None when noise has no nonzero sigma.
+    One product over the block: each pose's rows get the bits of a
+    one-pose call (sense calls it with K = 1).
     """
-    y = (landmarks - pos) @ rot
+    y = (landmarks - pos[:, None, :]) @ rot
     if bias.landmark is not None:
-        y = y + bias.landmark
-    return _add_noise_raw((u.omega + bias.omega, u.vel + bias.vel, y), noise, rng)
+        y += bias.landmark
+    return y
 
 
 def _add_noise_raw(
@@ -222,7 +213,7 @@ def sense(
             f"landmark bias shape {bias.landmark.shape} does not match "
             f"landmark count {state.count}"
         )
-    omega_m, v_m, y = _sense_raw(
-        state.pose.rotation.m, state.pose.position, state.landmarks, u, bias, noise, rng
-    )
+    rot, pos = state.pose.rotation.m, state.pose.position
+    y = _measure(rot[None], pos[None], state.landmarks, bias)[0]
+    omega_m, v_m, y = _add_noise_raw((u.omega + bias.omega, u.vel + bias.vel, y), noise, rng)
     return SensorFrame(omega_m, v_m, y, t)

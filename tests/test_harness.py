@@ -222,6 +222,88 @@ class TestRecordChunks:
         assert [record_bits(r) for r in run(config, stride=stride)] == expected
 
 
+class TestTruthBlocks:
+    # The loop chains the truth on floats and measures it one block of at
+    # most RECORD_CHUNK steps at a time. A small chunk puts block edges on
+    # steps where no twist knot starts.
+    CHUNK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "RECORD_CHUNK", self.CHUNK)
+
+    def test_trajectory_equals_public_loop(self):
+        config = noisy_knotted_scenario()
+        twists = [config.twist_profile.at(k * config.dt) for k in range(config.step_count + 1)]
+        knot_steps = [k for k in range(1, len(twists)) if twists[k] is not twists[k - 1]]
+        assert knot_steps == [100, 181]
+        assert all(k % self.CHUNK for k in knot_steps)
+        truth = TrueState(config.initial_pose, config.landmarks)
+        state = config.initial_estimates
+        rng = config.noise.make_rng()
+        for snap in trajectory(config):
+            twist = config.twist_profile.at(snap.t)
+            frame = sense(truth, config.bias, config.noise, twist, rng, snap.t)
+            for a, b in (
+                (snap.truth.pose.rotation.m, truth.pose.rotation.m),
+                (snap.truth.pose.position, truth.pose.position),
+                (snap.frame.y, frame.y),
+                (snap.frame.omega_m, frame.omega_m),
+                (snap.frame.v_m, frame.v_m),
+                (snap.state.r_hat.m, state.r_hat.m),
+                (snap.state.p_hat, state.p_hat),
+                (snap.state.landmarks_hat, state.landmarks_hat),
+                (snap.state.b_omega_hat, state.b_omega_hat),
+                (snap.state.b_v_hat, state.b_v_hat),
+                (snap.e, landmark_errors(state, frame)),
+            ):
+                assert a.tobytes() == b.tobytes()
+            state = observer_step(state, frame, config.gains, config.dt, scheme="implicit")
+            truth = true_step(truth, twist, config.dt)
+        assert snap.k == config.step_count
+
+    def test_snapshots_hold_no_block(self):
+        config = replace(make_compact_scenario(duration=0.02), bias=noisy_knotted_scenario().bias)
+        for snap in trajectory(config):
+            for a in (snap.truth.pose.rotation.m, snap.truth.pose.position, snap.frame.y):
+                assert a.base is None
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_run_equals_metrics_over_trajectory(self, stride):
+        config = noisy_knotted_scenario()
+        steps = config.step_count
+        expected = [
+            record_bits(compute_metrics(snap, config))
+            for snap in trajectory(config)
+            if snap.k % stride == 0 or snap.k == steps
+        ]
+        assert [record_bits(r) for r in run(config, stride=stride)] == expected
+
+    @pytest.mark.parametrize("axis", ["k_p", "sigma_y"])
+    def test_sweep_members_equal_their_solo_runs(self, monkeypatch, axis):
+        base = warm_noisy_knotted_scenario()
+        values = SWEEP_MEMBER_VALUES[axis]
+        results = sweep(base, axis, values)
+        for r in results:
+            assert_equals_solo_run(r, SWEEP_AXES[axis](base, r.value))
+        monkeypatch.undo()
+        assert sweep(base, axis, values) == results
+
+    # paper-sec5 with k_p = 1e5 diverges at step 4, in the second block of 3.
+    def test_run_divergence_in_second_block_reports_its_step(self, monkeypatch):
+        monkeypatch.setattr(harness, "RECORD_CHUNK", 3)
+        base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
+        with pytest.raises(DivergenceError, match=r"at step 4 \(t = 0\.004 s\)") as info:
+            run(SWEEP_AXES["k_p"](base, 1e5), stride=100)
+        assert info.value.step == 4
+
+    def test_sweep_divergence_in_second_block_reports_its_step(self, monkeypatch):
+        monkeypatch.setattr(harness, "RECORD_CHUNK", 3)
+        base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
+        results = sweep(base, "k_p", [0.5, 2.0, 1e3, 1e5])
+        assert [r.aborted_step for r in results] == [None, None, 5, 4]
+
+
 def _attitude_error(rng, kind):
     """(r_hat, rot) whose pose error r_hat rot^T is of the given kind:
     "identity" (exactly), "small" (below 1e-6 rad), "obtuse" (between pi/2
@@ -595,6 +677,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="k_p"):
             sweep(make_compact_scenario(duration=0.1), "k_p", [1.0, 2.0, math.nan])
         assert calls == []
+
+    @pytest.mark.parametrize("axis", ["k_p", "k_w"])
+    def test_scalar_gain_member_keeps_the_base_matrices(self, axis):
+        base = make_compact_scenario(duration=0.1)
+        gains = SWEEP_AXES[axis](base, 3).gains
+        assert getattr(gains, axis) == 3.0 and type(getattr(gains, axis)) is float
+        other = "k_w" if axis == "k_p" else "k_p"
+        assert getattr(gains, other) == getattr(base.gains, other)
+        for name in ("gamma", "gamma_inv", "alpha"):
+            assert getattr(gains, name) is getattr(base.gains, name)
+
+    @pytest.mark.parametrize("axis", ["k_p", "k_w"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_scalar_gain_member_rejects_bad_values(self, axis, value):
+        with pytest.raises(ValueError, match=f"{axis} must be positive and finite"):
+            SWEEP_AXES[axis](make_compact_scenario(duration=0.1), value)
 
     @pytest.mark.parametrize("axis", list(SWEEP_AXES))
     def test_members_equal_their_solo_runs(self, axis):

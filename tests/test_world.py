@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slamobs import (
     NoiseSpec,
@@ -12,8 +14,10 @@ from slamobs import (
     Twist,
     se3_exp,
     sense,
+    so3_exp,
     true_step,
 )
+from slamobs import world
 
 from oracles import matexp_taylor, twist_matrix
 
@@ -103,8 +107,6 @@ class TestSense:
         assert (frame.y == SQUARE_LANDMARKS).all()
 
     def test_frame_inversion_recovers_landmarks(self, rng):
-        from slamobs import so3_exp
-
         state = TrueState(
             Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3) * 4.0), SQUARE_LANDMARKS
         )
@@ -155,6 +157,38 @@ class TestSense:
         frame = sense(state, SensorBias.zero(), NoiseSpec(seed=7), Twist.zero(), gen)
         clean = (SQUARE_LANDMARKS - state.pose.position) @ state.pose.rotation.m
         assert (frame.y == clean).all()
+
+
+class TestBlockMeasurement:
+    # The harness measures a block of K true poses in one product; each pose
+    # must get the bits that sense gives it alone. A BLAS kernel whose
+    # batched product rounds differently from its one-matrix product fails.
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 64),
+        k=st.integers(1, 40),
+        with_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_equals_sense(self, n, k, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        landmarks = rng.normal(scale=5.0, size=(n, 3))
+        landmark_bias = rng.normal(scale=0.1, size=(n, 3)) if with_bias else None
+        bias = SensorBias(rng.normal(size=3), rng.normal(size=3), landmark_bias)
+        rot = np.array([so3_exp(rng.normal(size=3)).m for _ in range(k)])
+        pos = rng.normal(scale=10.0, size=(k, 3))
+        block = world._measure(rot, pos, landmarks, bias)
+        assert block.shape == (k, n, 3)
+        noise = NoiseSpec()
+        for y, r, p in zip(block, rot, pos):
+            state = TrueState(Pose(Rotation3(r), p), landmarks)
+            frame = sense(state, bias, noise, Twist.zero(), noise.make_rng())
+            assert y.tobytes() == frame.y.tobytes()
+            # The one-pose (n, 3) @ (3, 3) product.
+            alone = (landmarks - p) @ r
+            if with_bias:
+                alone = alone + landmark_bias
+            assert y.tobytes() == alone.tobytes()
 
 
 class TestTypes:
