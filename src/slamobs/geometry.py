@@ -36,6 +36,14 @@ ROTATION_TOL = 1e-9
 _EYE3 = np.eye(3)
 
 
+def _as_positive(value, name: str) -> float:
+    """value as a positive, finite float, or ValueError naming it."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
@@ -215,8 +223,7 @@ def se3_exp(u: Twist, dt: float) -> Pose:
     rotation part is so3_exp(u.omega * dt) and the translation part is the
     left Jacobian of the rotation applied to u.vel * dt.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = _as_positive(dt, "dt")
     rot, pos = _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
     return Pose(Rotation3(np.array(rot)), np.array(pos))
 

@@ -38,6 +38,7 @@ member only in that one value.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, compress
@@ -50,6 +51,7 @@ from .geometry import (
     Pose,
     Rotation3,
     _affine3,
+    _as_positive,
     _distance_rows,
     _mul3,
     _norm3,
@@ -65,7 +67,6 @@ from .observer import (
     _energy_raw,
     _errors_raw,
     _pose_error_rows,
-    _positive_gain,
     _stacked_step,
     _step_raw,
 )
@@ -93,9 +94,9 @@ def _with_gain(config: ScenarioConfig, name: str, value: float) -> ScenarioConfi
     """config with the scalar gain name (k_p or k_w) set to value.
 
     Only the new value is checked: the rest of the GainConfig, gamma's
-    inverse included, is the base's, already validated.
+    inverse and the rows included, is the base's, already validated.
     """
-    gains = _trusted(GainConfig, **{**vars(config.gains), name: _positive_gain(name, value)})
+    gains = _trusted(GainConfig, **{**vars(config.gains), name: _as_positive(value, name)})
     return _replaced(config, gains=gains)
 
 
@@ -315,8 +316,9 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
     config (noise seed included); a non-finite observer state aborts the run
     with a DivergenceError carrying the failing step index.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    # An integral type only, as for NoiseSpec's seed: nan or 2.5 is no stride.
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     steps = config.step_count
     recorded = steps // stride + 1 + (steps % stride != 0)
     records = []
@@ -397,6 +399,8 @@ def settling_time(
     """
     t = np.asarray(t, dtype=float)
     max_e = np.asarray(max_e, dtype=float)
+    if t.shape != max_e.shape:
+        raise ValueError(f"t and max_e differ in shape: {t.shape} and {max_e.shape}")
     below = max_e < threshold
     start = None
     for i in range(len(t)):

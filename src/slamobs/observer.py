@@ -60,6 +60,7 @@ import numpy as np
 from .geometry import (
     Rotation3,
     _affine3,
+    _as_positive,
     _as_vec3,
     _exp_floats,
     _mul3,
@@ -120,17 +121,20 @@ class ObserverState:
 
 @dataclass(frozen=True)
 class GainConfig:
-    """Observer gains: all strictly positive, the matrix gain SPD."""
+    """Observer gains: all strictly positive, the matrix gain SPD. gamma_inv
+    and the rows of gamma and gamma_inv as Python floats are derived once."""
 
     k_p: float
     k_w: float
     gamma: np.ndarray
     alpha: np.ndarray
     gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_rows: tuple = field(init=False, repr=False, compare=False)
+    gamma_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("k_p", "k_w"):
-            object.__setattr__(self, name, _positive_gain(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_positive(getattr(self, name), name))
         g = np.asarray(self.gamma, dtype=float)
         if g.shape == ():
             # Not g * I: an infinite g times the zero off-diagonals would warn.
@@ -158,18 +162,18 @@ class GainConfig:
         if not np.isfinite(g_inv).all():
             raise ValueError("gamma must have a finite inverse")
         object.__setattr__(self, "gamma_inv", g_inv)
+        object.__setattr__(self, "gamma_rows", tuple(map(tuple, g.tolist())))
+        object.__setattr__(self, "gamma_inv_rows", tuple(map(tuple, g_inv.tolist())))
 
     @property
     def count(self) -> int:
         return self.alpha.shape[0]
 
 
-def _positive_gain(name: str, value) -> float:
-    """value as a positive, finite float, or ValueError naming the gain."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+def _check_gain_count(gains: GainConfig, count: int) -> None:
+    """ValueError unless gains carry one alpha value per landmark."""
+    if gains.count != count:
+        raise ValueError(f"gains carry {gains.count} alpha values for {count} landmarks")
 
 
 class StackedGains(NamedTuple):
@@ -183,7 +187,7 @@ class StackedGains(NamedTuple):
     k_p: np.ndarray
     alpha: np.ndarray
     k_w: list[float]
-    gamma: list[list]
+    gamma: list[tuple]
 
     @staticmethod
     def of(gains: list[GainConfig]) -> "StackedGains":
@@ -191,7 +195,7 @@ class StackedGains(NamedTuple):
             np.array([[g.k_p] for g in gains]),
             np.stack([g.alpha for g in gains]),
             [g.k_w for g in gains],
-            [g.gamma.tolist() for g in gains],
+            [g.gamma_rows for g in gains],
         )
 
     def take(self, keep: np.ndarray) -> "StackedGains":
@@ -261,8 +265,7 @@ def error_geometry(e, k_p: float) -> LandmarkError:
     Builds the rotation r_e = I + sin(theta) [axis]_x + (1 - cos(theta))
     [axis]_x^2 and evaluates the gain as k_p / (1 + trace(r_e)).
     """
-    if not k_p > 0.0:
-        raise ValueError(f"k_p must be positive, got {k_p!r}")
+    k_p = _as_positive(k_p, "k_p")
     a = np.asarray(e, dtype=float).reshape(3)
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
@@ -326,10 +329,7 @@ def correction_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Innovation terms (w_omega, w_v) subtracted from the measured velocities."""
     e = landmark_errors(state, frame)
-    if gains.count != state.count:
-        raise ValueError(
-            f"gains carry {gains.count} alpha values, observer tracks {state.count}"
-        )
+    _check_gain_count(gains, state.count)
     moments = _landmark_moments(state.r_hat.m, frame.y, gains, e)
     s_omega, s_v = _feedback_sums(moments.tolist(), None)
     return -gains.k_w * np.array(s_omega), -gains.k_w * np.array(s_v)
@@ -417,14 +417,10 @@ def observer_step(
     the finite range, which means the step size is too large for the gains
     and geometry at hand.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = _as_positive(dt, "dt")
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'explicit' or 'implicit'")
-    if gains.count != state.count:
-        raise ValueError(
-            f"gains carry {gains.count} alpha values, observer tracks {state.count}"
-        )
+    _check_gain_count(gains, state.count)
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
     estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -465,24 +461,20 @@ def _step_raw(
     that _member_update takes and returns; the result is the estimate after
     the step in the same layout. measurement is (omega_m, v_m, y) as
     arrays. Inputs are not validated, and the caller holds np.errstate so
-    that an overflow surfaces as the DivergenceError raised here, not as a
-    warning. The pose and bias update runs on Python floats, where numpy's
-    call overhead would cost more than its 3-vector and 3x3 arithmetic.
+    that an overflow surfaces as a DivergenceError, not as a warning. The
+    pose and bias update runs on Python floats, where numpy's call overhead
+    would cost more than its 3-vector and 3x3 arithmetic.
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, y = measurement
     moments, landmarks_new = _landmark_part(
         r_hat, landmarks_hat, y, e, (e * e).sum(axis=-1), gains, dt
     )
-    try:
-        r_new, p_new, b_omega_new, b_v_new = _member_update(
-            r_hat.tolist(), p_hat, b_omega_hat, b_v_hat,
-            omega_m.tolist(), v_m.tolist(), moments.tolist(),
-            gains.k_w, gains.gamma.tolist(), dt, implicit,
-        )
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        # Python floats raise where numpy would return inf or NaN.
-        raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
+    r_new, p_new, b_omega_new, b_v_new = _member_update(
+        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat,
+        omega_m.tolist(), v_m.tolist(), moments.tolist(),
+        gains.k_w, gains.gamma_rows, dt, implicit,
+    )
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
     return np.array(r_new), p_new, landmarks_new, b_omega_new, b_v_new
@@ -517,7 +509,7 @@ def _stacked_step(stack, r_hat, measurement, e, e_squared, gains: StackedGains, 
     ):
         try:
             updates.append(_member_update(*rows, *inputs, dt, implicit))
-        except (DivergenceError, ZeroDivisionError, OverflowError, ValueError):
+        except DivergenceError:
             finite[i] = False
             # The member's old rows hold its place; the mask drops them.
             updates.append(rows)
@@ -533,25 +525,28 @@ def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, im
     The estimate and measurement arrive as Python floats (r and gamma as
     rows), with the entries of _landmark_moments; returns the new rotation
     rows, position and biases. Raises DivergenceError when the corrected
-    twist or the new state is not finite.
+    twist or the new state is not finite, or when the float arithmetic
+    raises where numpy would return inf or NaN.
     """
-    (s0, s1, s2), (u0, u1, u2) = _feedback_sums(moments, dt * k_w if implicit else None)
     bo0, bo1, bo2 = b_omega
     bv0, bv1, bv2 = b_v
-    # The innovation term -k_w s is subtracted from the measured velocity.
-    w0 = (omega_m[0] - bo0 + k_w * s0) * dt
-    w1 = (omega_m[1] - bo1 + k_w * s1) * dt
-    w2 = (omega_m[2] - bo2 + k_w * s2) * dt
-    x0 = (v_m[0] - bv0 + k_w * u0) * dt
-    x1 = (v_m[1] - bv1 + k_w * u1) * dt
-    x2 = (v_m[2] - bv2 + k_w * u2) * dt
-    # The squared-angle check also catches finite twists whose square
-    # overflows inside the exponential.
-    if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
-        raise DivergenceError("correction terms overflowed; reduce dt or the gains")
-
-    step_rot, step_pos = _exp_floats((w0, w1, w2), (x0, x1, x2))
-    r_new = _project_rows(_mul3(r, step_rot))
+    try:
+        (s0, s1, s2), (u0, u1, u2) = _feedback_sums(moments, dt * k_w if implicit else None)
+        # The innovation term -k_w s is subtracted from the measured velocity.
+        w0 = (omega_m[0] - bo0 + k_w * s0) * dt
+        w1 = (omega_m[1] - bo1 + k_w * s1) * dt
+        w2 = (omega_m[2] - bo2 + k_w * s2) * dt
+        x0 = (v_m[0] - bv0 + k_w * u0) * dt
+        x1 = (v_m[1] - bv1 + k_w * u1) * dt
+        x2 = (v_m[2] - bv2 + k_w * u2) * dt
+        # The squared-angle check also catches finite twists whose square
+        # overflows inside the exponential.
+        if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
+            raise DivergenceError("correction terms overflowed; reduce dt or the gains")
+        step_rot, step_pos = _exp_floats((w0, w1, w2), (x0, x1, x2))
+        r_new = _project_rows(_mul3(r, step_rot))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
     p_new = _affine3(r, step_pos, p)
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gamma
     b_omega_new = (
@@ -590,7 +585,7 @@ def _energy_raw(e_squared: np.ndarray, b_omega_tilde, b_v_tilde, gains: GainConf
     """lyapunov_value on raw values: e_squared holds the squared norms
     ||e_i||^2, shape (..., n), and each bias error is three Python floats or
     three columns over its leading axes."""
-    g_inv = gains.gamma_inv.tolist()
+    g_inv = gains.gamma_inv_rows
     bias_sum = _quadratic3(b_omega_tilde, g_inv) + _quadratic3(b_v_tilde, g_inv)
     return 0.5 * ((e_squared / gains.alpha).sum(axis=-1) + bias_sum)
 

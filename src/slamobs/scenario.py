@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, Twist
-from .observer import GainConfig, ObserverState
-from .world import NoiseSpec, SensorBias, _as_landmarks
+from .geometry import Pose, Rotation3, Twist, _as_positive
+from .observer import GainConfig, ObserverState, _check_gain_count
+from .world import NoiseSpec, SensorBias, _as_landmarks, _check_landmark_bias
 
 DEFAULT_DT = 0.001
 
@@ -99,56 +99,48 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        # The name becomes the CSV file name, so it must be a plain one.
-        if not (
-            isinstance(self.name, str)
-            and self.name not in ("", ".", "..")
-            and not any(c in self.name for c in "/\\\0")
-        ):
-            raise ScenarioError(
-                f"name must be a string usable as a file name, got {_short.repr(self.name)}"
-            )
-        if not 0.0 < self.duration < math.inf:
-            raise ScenarioError(f"duration must be positive and finite, got {self.duration!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise ScenarioError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.duration / self.dt > MAX_STEPS:
-            raise ScenarioError(
-                f"duration / dt = {self.duration / self.dt:.3g} exceeds the "
-                f"step cap of {MAX_STEPS:g}"
-            )
+        # Every rule raises ValueError; one handler re-raises it as a ScenarioError.
         try:
+            # The name becomes the CSV file name, so it must be a plain one.
+            if not (
+                isinstance(self.name, str)
+                and self.name not in ("", ".", "..")
+                and not any(c in self.name for c in "/\\\0")
+            ):
+                raise ValueError(
+                    f"name must be a string usable as a file name, got {_short.repr(self.name)}"
+                )
+            for key in ("duration", "dt"):
+                object.__setattr__(self, key, _as_positive(getattr(self, key), key))
+            if self.duration / self.dt > MAX_STEPS:
+                raise ValueError(
+                    f"duration / dt = {self.duration / self.dt:.3g} exceeds the "
+                    f"step cap of {MAX_STEPS:g}"
+                )
             lm = _as_landmarks(self.landmarks)
+            n = lm.shape[0]
+            # Scaled to a largest coordinate of 1 first, so that neither the
+            # centroid nor the scatter overflows or underflows; all-zero
+            # landmarks stay zero and are rejected as coincident.
+            top = np.abs(lm).max()
+            unit = lm / top if top > 0.0 else lm
+            centered = unit - unit.mean(axis=0)
+            spread = np.linalg.eigvalsh(centered.T @ centered)
+            if not spread[1] > COLLINEAR_RTOL * spread[2]:
+                raise ValueError(
+                    "landmarks must include 3 that are not collinear (coincident or "
+                    "collinear landmarks leave the pose unobservable)"
+                )
+            object.__setattr__(self, "landmarks", lm)
+            _check_gain_count(self.gains, n)
+            est = self.initial_estimates
+            if est.count != n:
+                raise ValueError(
+                    f"initial estimates carry {est.count} landmarks, scenario has {n}"
+                )
+            _check_landmark_bias(self.bias, n)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        n = lm.shape[0]
-        # Scaled to a largest coordinate of 1 first, so that neither the
-        # centroid nor the scatter overflows or underflows; all-zero
-        # landmarks stay zero and are rejected as coincident.
-        top = np.abs(lm).max()
-        unit = lm / top if top > 0.0 else lm
-        centered = unit - unit.mean(axis=0)
-        spread = np.linalg.eigvalsh(centered.T @ centered)
-        if not spread[1] > COLLINEAR_RTOL * spread[2]:
-            raise ScenarioError(
-                "landmarks must include 3 that are not collinear (coincident or "
-                "collinear landmarks leave the pose unobservable)"
-            )
-        object.__setattr__(self, "landmarks", lm)
-        if self.gains.count != n:
-            raise ScenarioError(
-                f"gains carry {self.gains.count} alpha values for {n} landmarks"
-            )
-        est = self.initial_estimates
-        if est.count != n:
-            raise ScenarioError(
-                f"initial estimates carry {est.count} landmarks, scenario has {n}"
-            )
-        if self.bias.landmark is not None and self.bias.landmark.shape != (n, 3):
-            raise ScenarioError(
-                f"landmark bias shape {self.bias.landmark.shape} does not match "
-                f"{n} landmarks"
-            )
 
     @property
     def count(self) -> int:

@@ -26,6 +26,7 @@ from .geometry import (
     Rotation3,
     Twist,
     _affine3,
+    _as_positive,
     _as_rows3,
     _as_vec3,
     _exp_floats,
@@ -138,6 +139,12 @@ class SensorFrame:
         return self.y.shape[0]
 
 
+def _check_landmark_bias(bias: SensorBias, n: int) -> None:
+    """ValueError unless bias carries no landmark offsets or one per landmark."""
+    if bias.landmark is not None and bias.landmark.shape != (n, 3):
+        raise ValueError(f"landmark bias shape {bias.landmark.shape} does not match {n} landmarks")
+
+
 def _increment_raw(u: Twist, dt: float) -> tuple[tuple, tuple]:
     """(rotation rows, translation) of holding the twist u constant over dt,
     on Python floats."""
@@ -151,9 +158,7 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     re-projected so orthonormality cannot drift over long runs. The
     arithmetic runs on Python floats, as in the harness's chained truth.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    step_rot, step_pos = _increment_raw(u, dt)
+    step_rot, step_pos = _increment_raw(u, _as_positive(dt, "dt"))
     r = state.pose.rotation.m.tolist()
     rot = np.array(_project_rows(_mul3(r, step_rot)))
     pos = np.array(_affine3(r, step_pos, state.pose.position.tolist()))
@@ -208,11 +213,7 @@ def sense(
     in a fixed order (gyro, velocity, landmarks) and only for nonzero sigmas,
     so the generator advances deterministically.
     """
-    if bias.landmark is not None and bias.landmark.shape != state.landmarks.shape:
-        raise ValueError(
-            f"landmark bias shape {bias.landmark.shape} does not match "
-            f"landmark count {state.count}"
-        )
+    _check_landmark_bias(bias, state.count)
     rot, pos = state.pose.rotation.m, state.pose.position
     y = _measure(rot[None], pos[None], state.landmarks, bias)[0]
     omega_m, v_m, y = _add_noise_raw((u.omega + bias.omega, u.vel + bias.vel, y), noise, rng)

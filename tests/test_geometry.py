@@ -150,8 +150,12 @@ class TestSe3Exp:
             assert np.linalg.norm(prod.matrix() - np.eye(4)) <= 1e-10
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            se3_exp(Twist.zero(), 0.0)
+        # inf and nan are rejected here, not by the NaN rotation they give.
+        for dt in (math.inf, math.nan, 0.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="dt must be positive and finite"):
+                    se3_exp(Twist(np.ones(3), np.ones(3)), dt)
 
 
 class TestRotationDistance:

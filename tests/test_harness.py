@@ -399,8 +399,10 @@ class TestRunLoop:
         )
 
     def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError, match="stride"):
-            run(make_compact_scenario(duration=0.01), stride=0)
+        # nan would skip every step but the last; 2.5 would fail inside numpy.
+        for stride in (0, math.nan, 2.5, True):
+            with pytest.raises(ValueError, match="stride"):
+                run(make_compact_scenario(duration=0.01), stride=stride)
 
     def test_deterministic_given_seed(self):
         config = make_compact_scenario(
@@ -560,6 +562,14 @@ class TestSettlingTime:
         max_e = np.full_like(t, 0.01)
         assert settling_time(t, max_e, threshold=0.05, hold=2.0) is None
 
+    @pytest.mark.parametrize("length", [49, 51], ids=["shorter", "longer"])
+    def test_lengths_must_match(self, length):
+        # A shorter max_e would be indexed past its end; a longer one would
+        # lose its tail.
+        t = np.arange(0.0, 5.0, 0.1)
+        with pytest.raises(ValueError, match="t and max_e"):
+            settling_time(t, np.full(length, 0.01))
+
 
 class TestFit:
     def test_exact_exponential_recovered(self):
@@ -685,7 +695,7 @@ class TestSweep:
         assert getattr(gains, axis) == 3.0 and type(getattr(gains, axis)) is float
         other = "k_w" if axis == "k_p" else "k_p"
         assert getattr(gains, other) == getattr(base.gains, other)
-        for name in ("gamma", "gamma_inv", "alpha"):
+        for name in ("gamma", "gamma_inv", "gamma_rows", "gamma_inv_rows", "alpha"):
             assert getattr(gains, name) is getattr(base.gains, name)
 
     @pytest.mark.parametrize("axis", ["k_p", "k_w"])

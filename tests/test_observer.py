@@ -7,6 +7,7 @@ e_i = -y_i exactly, so the cross-product sums vanish and every expected
 number reduces to plain arithmetic.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -94,6 +95,12 @@ class TestErrorGeometry:
 
     def test_zero_error_floor_scales_with_k_p(self):
         assert error_geometry(np.zeros(3), k_p=3.0).psi == 0.75
+
+    @pytest.mark.parametrize("k_p", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_k_p(self, k_p):
+        # inf would give psi = inf.
+        with pytest.raises(ValueError, match="k_p must be positive and finite"):
+            error_geometry(np.array([1.0, 0.0, 0.0]), k_p)
 
     def test_unit_error_literal(self):
         geo = error_geometry(np.array([1.0, 0.0, 0.0]), k_p=1.0)
@@ -343,11 +350,15 @@ class TestObserverStep:
             )
 
     def test_nonpositive_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            observer_step(
-                ObserverState.cold_start(4), frame_from(np.zeros((4, 3))),
-                reference_gains(), 0.0,
-            )
+        # A bad dt is a bad input, never a DivergenceError.
+        for dt in (math.inf, math.nan, 0.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="dt must be positive and finite"):
+                    observer_step(
+                        ObserverState.cold_start(4), frame_from(np.ones((4, 3))),
+                        reference_gains(), dt,
+                    )
 
     def test_overflow_raises_divergence_error(self):
         state = ObserverState(

@@ -1,5 +1,8 @@
 """Ground-truth stepping and the biased/noisy measurement model."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,8 +85,13 @@ class TestTrueStep:
         assert np.linalg.norm(r @ r.T - np.eye(3)) <= 1e-12
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            true_step(hover_state(), Twist.zero(), -0.1)
+        # inf is rejected here, not by warnings and an SVD failure downstream.
+        u = Twist(np.array([0.0, 0.0, 0.3]), np.array([2.5, 0.0, 0.0]))
+        for dt in (math.inf, math.nan, 0.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="dt must be positive and finite"):
+                    true_step(hover_state(), u, dt)
 
 
 class TestSense:

@@ -16,7 +16,8 @@ The output holds, per workload and end-to-end metric, each side's median,
 quartiles (statistics.quantiles, n=4) and per-pair values, the pairs in which
 the change read better, and the median change against the bound that
 BENCHMARK.json fixes; the failed-operation counts; the reference outputs that
-perfbench checks (their hashes, seed by seed); and each side's environment.
+perfbench checks (their hashes, seed by seed); each side's environment; and
+each side's ``wc -l src/slamobs/*.py``, file by file and in total.
 A ``--claim`` is judged by the gain rule: better in at least nine tenths of
 the pairs, ties counting for neither, and medians apart by more than the
 parent's interquartile distance. ``--notes`` adds the keys of a JSON object
@@ -89,6 +90,13 @@ def perfbench_digest(root: Path) -> str:
     for path in sorted((root / "perfbench").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(root: Path) -> dict:
+    """``wc -l src/slamobs/*.py`` in the checkout root: lines per file and the total."""
+    files = sorted((root / "src" / "slamobs").glob("*.py"))
+    counts = {path.name: path.read_bytes().count(b"\n") for path in files}
+    return {**counts, "total": sum(counts.values())}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -178,6 +186,7 @@ def main(argv=None) -> int:
         parent_root = Path(tmp) / "tree"
         if perfbench_digest(parent_root) != perfbench_digest(ROOT):
             raise SystemExit("bench_pairs: perfbench differs between the parent and this tree")
+        lines = {"before": source_lines(parent_root), "after": source_lines(ROOT)}
         for seed in args.seeds:
             for workload in args.workloads:
                 sides = [("before", parent_root), ("after", ROOT)]
@@ -234,6 +243,7 @@ def main(argv=None) -> int:
             w: reference_summary(runs[w]["before"], runs[w]["after"]) for w in args.workloads
         },
         "environment": environment,
+        "source_lines": lines,
     }
     if args.notes is not None:
         out.update(json.loads(args.notes.read_text(encoding="utf-8")))
