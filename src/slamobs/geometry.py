@@ -5,9 +5,10 @@ exponential maps (Rodrigues plus the left Jacobian for the translation part),
 the normalized rotation distance, and a polar re-orthonormalization used to
 repair drift after long chains of products.
 
-The step kernels (_exp_floats, _mul3, _affine3, _project_rows) run on
-Python floats, rows of a matrix as tuples, because numpy's per-call overhead
-costs far more than 3x3 arithmetic; the public functions here call them too.
+The step kernels (_exp_floats, _increment_raw, _mul3, _affine3, _project_rows,
+_advance) run on Python floats, rows of a matrix as tuples, because numpy's
+per-call overhead costs far more than 3x3 arithmetic; the public functions
+here call them too, and each closed form has its one body here.
 The metric kernels (_mul3, _distance_rows, _norm3, _quadratic3) also run
 unchanged on (K,) columns of entries, one per record.
 
@@ -38,7 +39,11 @@ _EYE3 = np.eye(3)
 
 def _as_positive(value, name: str) -> float:
     """value as a positive, finite float, or ValueError naming it."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # Not the value: repr refuses an integer of more than 4,300 digits.
+        raise ValueError(f"{name} must be positive and finite, got an int too large for a float")
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -67,8 +72,8 @@ def _trusted(cls, **fields):
 
     Only for values derived from already-validated inputs by code that keeps
     the invariants __post_init__ would check: rotations orthonormal by
-    construction (closed-form exponentials, polar projections, rotation
-    products) and the harness step loop.
+    construction (closed-form exponentials such as error_geometry's r_e,
+    polar projections, rotation products) and the harness step loop.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -76,9 +81,9 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _det3(m: np.ndarray) -> float:
-    """Determinant of one 3x3 matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+def _det3(m) -> float:
+    """Determinant of one 3x3 matrix given as rows of Python floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
@@ -99,7 +104,7 @@ class Rotation3:
             err = np.linalg.norm(m @ m.T - _EYE3)
         if not err <= ROTATION_TOL:
             raise ValueError(f"matrix is not orthonormal: ||R R^T - I||_F = {err:.3e}")
-        det = _det3(m)
+        det = _det3(m.tolist())
         if not abs(det - 1.0) <= ROTATION_TOL:
             raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
 
@@ -220,12 +225,16 @@ def se3_exp(u: Twist, dt: float) -> Pose:
     """Pose increment from holding the twist u constant over dt seconds.
 
     Equals the matrix exponential of the twist's 4x4 matrix times dt: the
-    rotation part is so3_exp(u.omega * dt) and the translation part is the
+    rotation part is so3_exp of u.omega * dt and the translation part is the
     left Jacobian of the rotation applied to u.vel * dt.
     """
-    dt = _as_positive(dt, "dt")
-    rot, pos = _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
+    rot, pos = _increment_raw(u, _as_positive(dt, "dt"))
     return Pose(Rotation3(np.array(rot)), np.array(pos))
+
+
+def _increment_raw(u: Twist, dt: float) -> tuple[tuple, tuple]:
+    """se3_exp(u, dt) as (rotation rows, translation) on Python floats, dt unchecked."""
+    return _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
 
 
 def rotation_distance(r: Rotation3) -> float:
@@ -311,9 +320,7 @@ def _project_rows(a) -> tuple:
     e01 = a00 * a01 + a10 * a11 + a20 * a21
     e02 = a00 * a02 + a10 * a12 + a20 * a22
     e12 = a01 * a02 + a11 * a12 + a21 * a22
-    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (
-        a10 * a21 - a11 * a20
-    )
+    det = _det3(a)
     # A NaN entry fails these comparisons, as it fails np.abs(e).max() < 1e-5.
     if not (
         -1e-5 < e00 < 1e-5 and -1e-5 < e11 < 1e-5 and -1e-5 < e22 < 1e-5
@@ -329,13 +336,19 @@ def _project_rows(a) -> tuple:
     return _mul3(a, ((s00, s01, s02), (s01, s11, s12), (s02, s12, s22)))
 
 
+def _advance(r, p, step_rot, step_pos) -> tuple[tuple, tuple]:
+    """The pose (r rows, p) moved by a body-frame increment, on Python floats:
+    the projection of r step_rot, and r step_pos + p."""
+    return _project_rows(_mul3(r, step_rot)), _affine3(r, step_pos, p)
+
+
 def _project_svd(a: np.ndarray) -> np.ndarray:
     """Polar projection of one 3x3 matrix through the SVD, det +1."""
     u, s, vt = np.linalg.svd(a)
     if not s[-1] > 1e-12:
         raise ValueError(f"matrix is singular (smallest singular value {s[-1]:.3e})")
-    r = u @ np.diag([1.0, 1.0, _det3(u @ vt)]) @ vt
-    det = _det3(r)
+    r = u @ np.diag([1.0, 1.0, _det3((u @ vt).tolist())]) @ vt
+    det = _det3(r.tolist())
     if not abs(det - 1.0) <= ROTATION_TOL:
         raise ValueError(f"projection failed to produce a proper rotation: det = {det!r}")
     return r

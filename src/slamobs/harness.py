@@ -50,12 +50,11 @@ import numpy as np
 from .geometry import (
     Pose,
     Rotation3,
-    _affine3,
+    _advance,
     _as_positive,
     _distance_rows,
-    _mul3,
+    _increment_raw,
     _norm3,
-    _project_rows,
     _trusted,
 )
 from .observer import (
@@ -71,7 +70,7 @@ from .observer import (
     _step_raw,
 )
 from .scenario import ScenarioConfig
-from .world import NoiseSpec, SensorFrame, TrueState, _add_noise_raw, _increment_raw, _measure
+from .world import NoiseSpec, SensorFrame, TrueState, _add_noise_raw, _measure
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
@@ -182,7 +181,7 @@ def _truth(config: ScenarioConfig):
             rots.extend(rot[2])
             positions.extend(pos)
             velocities.append(velocity)
-            rot, pos = _project_rows(_mul3(rot, step_rot)), _affine3(rot, step_pos, pos)
+            rot, pos = _advance(rot, pos, step_rot, step_pos)
         rots = np.frombuffer(rots).reshape(-1, 3, 3)
         positions = np.frombuffer(positions).reshape(-1, 3)
         y = _measure(rots, positions, landmarks, bias)

@@ -59,19 +59,15 @@ import numpy as np
 
 from .geometry import (
     Rotation3,
-    _affine3,
+    _advance,
     _as_positive,
     _as_vec3,
     _exp_floats,
     _mul3,
-    _project_rows,
     _quadratic3,
     _trusted,
-    hat3,
 )
 from .world import SensorBias, SensorFrame, TrueState, _as_landmarks
-
-_EYE3 = np.eye(3)
 
 
 class DivergenceError(RuntimeError):
@@ -262,8 +258,9 @@ def _gain_of_squares(e_squared, k_p):
 def error_geometry(e, k_p: float) -> LandmarkError:
     """Angle-axis geometry of a landmark error and the matrix-form gain.
 
-    Builds the rotation r_e = I + sin(theta) [axis]_x + (1 - cos(theta))
-    [axis]_x^2 and evaluates the gain as k_p / (1 + trace(r_e)).
+    The rotation r_e by theta = 2 atan(||e||) about e / ||e|| is the step's
+    exponential, so3_exp(theta * axis) bit for bit, and the gain is
+    k_p / (1 + trace(r_e)) of its rows.
     """
     k_p = _as_positive(k_p, "k_p")
     a = np.asarray(e, dtype=float).reshape(3)
@@ -272,14 +269,13 @@ def error_geometry(e, k_p: float) -> LandmarkError:
         return LandmarkError(a, 0.0, None, Rotation3.identity(), k_p / 4.0)
     theta = 2.0 * math.atan(norm)
     axis = a / norm
-    k = hat3(axis)
-    r_e = _EYE3 + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
-    # 1 + trace is 4 / (1 + ||e||^2) analytically; it underflows to exactly
-    # zero once ||e|| is so large that theta rounds to pi, where the gain is
+    r_e = _exp_floats((theta * axis).tolist(), (0.0, 0.0, 0.0))[0]
+    # 1 + trace is 4 / (1 + ||e||^2) analytically; it rounds to zero or
+    # below once ||e|| is so large that theta rounds to pi, where the gain is
     # unbounded anyway.
-    denom = 1.0 + float(np.trace(r_e))
+    denom = 1.0 + (r_e[0][0] + r_e[1][1] + r_e[2][2])
     psi = math.inf if denom <= 0.0 else k_p / denom
-    return LandmarkError(a, theta, axis, Rotation3(r_e), psi)
+    return LandmarkError(a, theta, axis, _trusted(Rotation3, m=np.array(r_e)), psi)
 
 
 def landmark_errors(state: ObserverState, frame: SensorFrame) -> np.ndarray:
@@ -543,11 +539,9 @@ def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, im
         # overflows inside the exponential.
         if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
             raise DivergenceError("correction terms overflowed; reduce dt or the gains")
-        step_rot, step_pos = _exp_floats((w0, w1, w2), (x0, x1, x2))
-        r_new = _project_rows(_mul3(r, step_rot))
+        r_new, p_new = _advance(r, p, *_exp_floats((w0, w1, w2), (x0, x1, x2)))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
-    p_new = _affine3(r, step_pos, p)
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gamma
     b_omega_new = (
         bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),

@@ -234,7 +234,8 @@ def _number(value, where: str) -> float:
     try:
         return float(value)
     except OverflowError as exc:
-        raise ScenarioError(f"{where} is out of range: {_short.repr(value)}") from exc
+        # Not the value: repr refuses an integer of more than 4,300 digits.
+        raise ScenarioError(f"{where} is out of range: an int too large for a float") from exc
 
 
 def _array(value, where: str) -> np.ndarray:

@@ -4,10 +4,11 @@ Integrates the true kinematics with the exact exponential map (the twist is
 held constant over each step, so the group structure is preserved instead of
 being approximated by an Euler or Runge-Kutta update) and synthesizes biased,
 optionally noisy body-frame measurements of velocity and landmark positions.
-The pose and its increment are computed on Python floats. The landmark
-measurement has one body (_measure), one product over a block of K poses:
-sense calls it with K = 1, and the harness with blocks of its chained truth,
-which get each pose's bits from it.
+The pose and its increment are computed on Python floats by geometry's
+_increment_raw and _advance, the kernels of the harness's chained truth too.
+The landmark measurement has one body (_measure), one product over a block of
+K poses: sense calls it with K = 1, and the harness with blocks of its
+chained truth, which get each pose's bits from it.
 
 A run is sequential because the noise generator threads through it; distinct
 runs with their own state and generator may execute concurrently.
@@ -25,13 +26,11 @@ from .geometry import (
     Pose,
     Rotation3,
     Twist,
-    _affine3,
+    _advance,
     _as_positive,
     _as_rows3,
     _as_vec3,
-    _exp_floats,
-    _mul3,
-    _project_rows,
+    _increment_raw,
     _trusted,
 )
 
@@ -145,12 +144,6 @@ def _check_landmark_bias(bias: SensorBias, n: int) -> None:
         raise ValueError(f"landmark bias shape {bias.landmark.shape} does not match {n} landmarks")
 
 
-def _increment_raw(u: Twist, dt: float) -> tuple[tuple, tuple]:
-    """(rotation rows, translation) of holding the twist u constant over dt,
-    on Python floats."""
-    return _exp_floats((u.omega * dt).tolist(), (u.vel * dt).tolist())
-
-
 def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """Advance the true pose by the exact exponential of the twist over dt.
 
@@ -158,11 +151,9 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     re-projected so orthonormality cannot drift over long runs. The
     arithmetic runs on Python floats, as in the harness's chained truth.
     """
-    step_rot, step_pos = _increment_raw(u, _as_positive(dt, "dt"))
-    r = state.pose.rotation.m.tolist()
-    rot = np.array(_project_rows(_mul3(r, step_rot)))
-    pos = np.array(_affine3(r, step_pos, state.pose.position.tolist()))
-    return TrueState(Pose(_trusted(Rotation3, m=rot), pos), state.landmarks)
+    step = _increment_raw(u, _as_positive(dt, "dt"))
+    rot, pos = _advance(state.pose.rotation.m.tolist(), state.pose.position.tolist(), *step)
+    return TrueState(Pose(_trusted(Rotation3, m=np.array(rot)), np.array(pos)), state.landmarks)
 
 
 def _measure(

@@ -151,7 +151,7 @@ class TestSe3Exp:
 
     def test_rejects_nonpositive_dt(self):
         # inf and nan are rejected here, not by the NaN rotation they give.
-        for dt in (math.inf, math.nan, 0.0, -1.0):
+        for dt in (math.inf, math.nan, 0.0, -1.0, 10**400, 10**5000):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="dt must be positive and finite"):

@@ -699,7 +699,13 @@ class TestSweep:
             assert getattr(gains, name) is getattr(base.gains, name)
 
     @pytest.mark.parametrize("axis", ["k_p", "k_w"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0, -1.0, math.inf, math.nan,
+            pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        ],
+    )
     def test_scalar_gain_member_rejects_bad_values(self, axis, value):
         with pytest.raises(ValueError, match=f"{axis} must be positive and finite"):
             SWEEP_AXES[axis](make_compact_scenario(duration=0.1), value)

@@ -96,7 +96,13 @@ class TestErrorGeometry:
     def test_zero_error_floor_scales_with_k_p(self):
         assert error_geometry(np.zeros(3), k_p=3.0).psi == 0.75
 
-    @pytest.mark.parametrize("k_p", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "k_p",
+        [
+            math.inf, math.nan, 0.0, -1.0,
+            pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        ],
+    )
     def test_rejects_bad_k_p(self, k_p):
         # inf would give psi = inf.
         with pytest.raises(ValueError, match="k_p must be positive and finite"):
@@ -129,6 +135,28 @@ class TestErrorGeometry:
             geo = error_geometry(e, k_p)
             closed = adaptation_gain(e, k_p)
             assert abs(geo.psi - closed) <= 1e-9 * (1.0 + float(e @ e))
+
+    @pytest.mark.parametrize("norm", [1e3, 1e4, 1e5])
+    def test_matrix_gain_precision_at_large_errors(self, rng, norm):
+        # 1 + trace(r_e) = 4 / (1 + ||e||^2) is summed from entries of size 1,
+        # so an absolute error of a few ulps in it is a relative error of psi
+        # that grows as eps (1 + ||e||^2): beyond the reach of the fixed
+        # 1e-9 (1 + ||e||^2) above once ||e|| passes about 1e3.
+        for _ in range(200):
+            e = rng.normal(size=3) * norm
+            k_p = float(rng.uniform(0.2, 5.0))
+            closed = adaptation_gain(e, k_p)
+            bound = 4.0 * np.finfo(float).eps * (1.0 + float(e @ e)) * closed
+            assert abs(error_geometry(e, k_p).psi - closed) <= bound
+
+    @pytest.mark.parametrize("norm", [1e-9, 1.0, 100.0, 1e3, 1e4, 1e5, 1e8])
+    def test_rotation_is_the_step_exponential(self, rng, norm):
+        # One body: below SMALL_ANGLE the Taylor branch, at 1e8 theta rounds
+        # toward pi.
+        for _ in range(100):
+            direction = rng.normal(size=3)
+            geo = error_geometry(direction / np.linalg.norm(direction) * norm, k_p=1.0)
+            assert np.array_equal(geo.r_e.m, so3_exp(geo.theta * geo.axis).m)
 
     def test_gain_floor_and_growth(self, rng):
         for _ in range(200):
@@ -351,7 +379,7 @@ class TestObserverStep:
 
     def test_nonpositive_dt(self):
         # A bad dt is a bad input, never a DivergenceError.
-        for dt in (math.inf, math.nan, 0.0, -1.0):
+        for dt in (math.inf, math.nan, 0.0, -1.0, 10**400, 10**5000):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="dt must be positive and finite"):

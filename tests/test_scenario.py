@@ -180,6 +180,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="dt"):
             scenario_from_dict(data)
 
+    def test_too_large_integer_duration(self):
+        # float() overflows, and repr refuses an integer of more than 4,300
+        # digits, so the message must not echo it.
+        for duration in (10**400, 10**5000):
+            with pytest.raises(ScenarioError, match="duration is out of range"):
+                scenario_from_dict(dict(MINIMAL, duration=duration))
+
     def test_step_cap(self):
         data = dict(MINIMAL, duration=1e7, dt=1e-3)
         with pytest.raises(ScenarioError, match="step cap"):

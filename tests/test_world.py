@@ -87,7 +87,7 @@ class TestTrueStep:
     def test_rejects_nonpositive_dt(self):
         # inf is rejected here, not by warnings and an SVD failure downstream.
         u = Twist(np.array([0.0, 0.0, 0.3]), np.array([2.5, 0.0, 0.0]))
-        for dt in (math.inf, math.nan, 0.0, -1.0):
+        for dt in (math.inf, math.nan, 0.0, -1.0, 10**400, 10**5000):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="dt must be positive and finite"):
