@@ -151,8 +151,8 @@ class TestErrorGeometry:
 
     @pytest.mark.parametrize("norm", [1e-9, 1.0, 100.0, 1e3, 1e4, 1e5, 1e8])
     def test_rotation_is_the_step_exponential(self, rng, norm):
-        # One body: below SMALL_ANGLE the Taylor branch, at 1e8 theta rounds
-        # toward pi.
+        # r_e is the step's exponential: 1e-9 takes its Taylor branch, and at
+        # 1e8 theta rounds toward pi.
         for _ in range(100):
             direction = rng.normal(size=3)
             geo = error_geometry(direction / np.linalg.norm(direction) * norm, k_p=1.0)
