@@ -43,7 +43,8 @@ def _as_positive(value, name: str) -> float:
         value = float(value)
     except OverflowError:
         # Not the value: repr refuses an integer of more than 4,300 digits.
-        raise ValueError(f"{name} must be positive and finite, got an int too large for a float")
+        too_large = "a number too large for a float"
+        raise ValueError(f"{name} must be positive and finite, got {too_large}") from None
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value

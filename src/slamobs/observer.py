@@ -260,14 +260,14 @@ def error_geometry(e, k_p: float) -> LandmarkError:
 
     The rotation r_e by theta = 2 atan(||e||) about e / ||e|| is the step's
     exponential, so3_exp(theta * axis) bit for bit, and the gain is
-    k_p / (1 + trace(r_e)) of its rows.
+    k_p / (1 + trace(r_e)) of its rows. ValueError unless ||e|| is finite.
     """
     k_p = _as_positive(k_p, "k_p")
     a = np.asarray(e, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(a.dot(a))  # np.linalg.norm's own arithmetic, without its overhead
     if norm == 0.0:
         return LandmarkError(a, 0.0, None, Rotation3.identity(), k_p / 4.0)
-    theta = 2.0 * math.atan(norm)
+    theta = 2.0 * math.atan(_as_positive(norm, "||e||"))
     axis = a / norm
     r_e = _exp_floats((theta * axis).tolist(), (0.0, 0.0, 0.0))[0]
     # 1 + trace is 4 / (1 + ||e||^2) analytically; it rounds to zero or

@@ -108,6 +108,13 @@ class TestErrorGeometry:
         with pytest.raises(ValueError, match="k_p must be positive and finite"):
             error_geometry(np.array([1.0, 0.0, 0.0]), k_p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_error(self, bad):
+        # r_e is built unvalidated, so a non-finite error must not reach it
+        # (it would come back as a NaN r_e and psi).
+        with pytest.raises(ValueError, match=r"\|\|e\|\| must be positive and finite"):
+            error_geometry(np.array([bad, 0.0, 0.0]), k_p=1.0)
+
     def test_unit_error_literal(self):
         geo = error_geometry(np.array([1.0, 0.0, 0.0]), k_p=1.0)
         assert geo.theta == pytest.approx(np.pi / 2, abs=1e-15)
