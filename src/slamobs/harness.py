@@ -12,8 +12,11 @@ observer_step wraps too) both take. The truth (_truth) is chained on Python
 floats as true_step computes it, with the pose increment and the velocity
 measurements computed once per twist knot, and its landmarks are measured
 one block of at most RECORD_CHUNK steps at a time in one product
-(world._measure, which sense calls with one pose). Noise is drawn per step,
-in sense's order, so a loop of observer_step, sense and true_step
+(world._measure, which sense calls with one pose). Each block's noise is
+one draw, sliced in sense's order (world._add_noise, which sense calls for
+one step), and the estimate-free part of each step (the velocities as
+Python floats, W and the implicit solve's terms) is computed once per block
+(_block_inputs), so a loop of observer_step, sense and true_step still
 reproduces trajectory bit for bit. trajectory wraps every step into a
 StepSnapshot. run copies each recorded step's values into buffers of
 RECORD_CHUNK records and computes every metric column of a full buffer at
@@ -25,7 +28,8 @@ ScenarioConfig.
 
 sweep advances the members that share dt (on every axis but dt, all of
 them) together in one loop (_sweep_group), over one truth and its
-measurement blocks and, on the gain axes, one measurement stream. Between
+measurement blocks and, on the k_p and gamma_scale axes, one measurement
+stream and one set of block inputs. Between
 steps each member's pose and biases stay the Python floats of its float
 update and the landmark estimates one array stacked on a leading member
 axis; each step is one _stacked_step. A diverging member drops out at that
@@ -41,7 +45,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -66,11 +70,13 @@ from .observer import (
     _energy_raw,
     _errors_raw,
     _pose_error_rows,
+    _solve_terms,
     _stacked_step,
     _step_raw,
+    _weights,
 )
 from .scenario import ScenarioConfig
-from .world import NoiseSpec, SensorFrame, TrueState, _add_noise_raw, _measure
+from .world import SensorFrame, TrueState, _add_noise, _measure
 
 SETTLE_THRESHOLD = 0.05
 SETTLE_HOLD = 1.0
@@ -151,42 +157,53 @@ class StepSnapshot:
     e: np.ndarray
 
 
-def _truth(config: ScenarioConfig):
+def _truth(config: ScenarioConfig, span: int):
     """The true motion and its noise-free measurements for k = 0 .. step_count.
 
-    Yields (k, t, rot, pos, measurement): the true pose at t = k * dt as
-    arrays and the (omega_m, v_m, y) measured there without noise. The pose
-    is chained on Python floats, as true_step computes it. The pose
-    increment and the velocity measurements depend only on the twist, so
-    they are computed once per knot. The landmarks are measured one block of
-    at most RECORD_CHUNK steps at a time, in one product (_measure). No
+    Yields blocks of at most span steps (block, rots, positions, (omega_m,
+    v_m, y)): the range of k, the true poses at t = k * dt as (K, 3, 3) and
+    (K, 3) arrays and the (K, 3), (K, 3) and (K, n, 3) measurements there
+    without noise. The pose is chained on Python floats, as true_step
+    computes it, with the increment and velocities computed once per knot;
+    the landmarks are measured in one product per block (_measure). No
     yielded array is modified afterwards.
     """
     steps, dt = config.step_count, config.dt
     landmarks, bias, profile = config.landmarks, config.bias, config.twist_profile
     rot, pos = config.initial_pose.rotation.m.tolist(), config.initial_pose.position.tolist()
     knot = None
-    for start in range(0, steps + 1, RECORD_CHUNK):
-        block = range(start, min(start + RECORD_CHUNK, steps + 1))
+    for start in range(0, steps + 1, span):
+        block = range(start, min(start + span, steps + 1))
         # Flat doubles, not the rows: a block of rows would hold its floats
         # as Python objects, about six times the memory.
-        rots, positions, velocities = array("d"), array("d"), []
+        rots, positions, velocities = array("d"), array("d"), array("d")
         for k in block:
             twist = profile.at(k * dt)
             if twist is not knot:
                 knot, (step_rot, step_pos) = twist, _increment_raw(twist, dt)
-                velocity = (twist.omega + bias.omega, twist.vel + bias.vel)
+                velocity = [*(twist.omega + bias.omega).tolist(), *(twist.vel + bias.vel).tolist()]
             rots.extend(rot[0])
             rots.extend(rot[1])
             rots.extend(rot[2])
             positions.extend(pos)
-            velocities.append(velocity)
+            velocities.extend(velocity)
             rot, pos = _advance(rot, pos, step_rot, step_pos)
         rots = np.frombuffer(rots).reshape(-1, 3, 3)
         positions = np.frombuffer(positions).reshape(-1, 3)
+        velocities = np.frombuffer(velocities).reshape(-1, 2, 3)
         y = _measure(rots, positions, landmarks, bias)
-        for k, rot_k, pos_k, (omega_m, v_m), y_k in zip(block, rots, positions, velocities, y):
-            yield k, k * dt, rot_k, pos_k, (omega_m, v_m, y_k)
+        yield block, rots, positions, (velocities[:, 0], velocities[:, 1], y)
+
+
+def _block_inputs(measurement: tuple, alpha: np.ndarray, c) -> tuple:
+    """The (omega_m, v_m, w, terms) of _step_raw for a block's steps, step
+    first, from its noisy measurement and the alpha and c = dt k_w that
+    broadcast against it; terms are computed on columns, as _weights is."""
+    omega_m, v_m, y = measurement
+    w, gram = _weights(y, alpha)
+    terms = _solve_terms(np.moveaxis(gram, (-2, -1), (0, 1)), c)
+    rows = np.stack(np.broadcast_arrays(*terms), axis=-1).tolist()
+    return omega_m.tolist(), v_m.tolist(), w, rows
 
 
 def _steps(config: ScenarioConfig):
@@ -205,34 +222,39 @@ def _steps(config: ScenarioConfig):
     dt = config.dt
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = config.initial_estimates.arrays()
     estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t, rot, pos, measurement in _truth(config):
-            measurement = _add_noise_raw(measurement, noise, rng)
-            r_hat, p, landmarks_hat, b_omega, b_v = estimate
-            p_hat = np.array(p)
-            e = _errors_raw(r_hat, p_hat, landmarks_hat, measurement[2])
-            yield k, t, (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega, b_v), measurement, e
-            if k == steps:
-                break
-            try:
-                estimate = _step_raw(estimate, measurement, e, gains, dt, implicit=True)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"observer diverged at step {k} (t = {t:.6g} s): {exc}", step=k
-                ) from exc
+    # A zero determinant gives inf, which the step reports as divergence.
+    # Held by the zip alone, a block's inputs are freed before the next's.
+    with np.errstate(all="ignore"):
+        for block, rots, positions, measurement in _truth(config, RECORD_CHUNK):
+            measurement = _add_noise(measurement, noise, rng)
+            for k, rot, pos, frame, inputs in zip(
+                block, rots, positions, zip(*measurement),
+                zip(*_block_inputs(measurement, gains.alpha, dt * gains.k_w)),
+            ):
+                r_hat, p, landmarks_hat, b_omega, b_v = estimate
+                p_hat = np.array(p)
+                e = _errors_raw(r_hat, p_hat, landmarks_hat, frame[2])
+                yield k, k * dt, (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega, b_v), frame, e
+                if k == steps:
+                    break
+                try:
+                    estimate = _step_raw(estimate, inputs, e, gains, dt)
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"observer diverged at step {k} (t = {k * dt:.6g} s): {exc}", step=k
+                    ) from exc
 
 
 def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> StepSnapshot:
     """Wrap one step of _steps into the public value types.
 
     Every value derives from the validated config through the loop, so the
-    types are built without re-validation. The true pose and a noise-free y
-    are rows of the loop's block arrays; they are copied, so that a kept
-    snapshot does not keep its whole block alive.
+    types are built without re-validation. The true pose and the
+    measurement are rows of the loop's block arrays; they are copied, so
+    that a kept snapshot does not keep its whole block alive.
     """
-    (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) = truth, estimate
-    omega_m, v_m, y = measurement
-    rot, pos, y = rot.copy(), pos.copy(), y.copy()
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    rot, pos, omega_m, v_m, y = (a.copy() for a in (*truth, *measurement))
     pose = _trusted(Pose, rotation=_trusted(Rotation3, m=rot), position=pos)
     return StepSnapshot(
         k,
@@ -478,25 +500,27 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
 
     The configs differ only in their gains or noise. The truth and its
     noise-free measurements are computed once, by _truth, as for one run.
-    Members with equal noise share one measurement stream;
-    otherwise each member draws from its own generator against the shared
-    noise-free measurement. Between steps each member's pose and biases stay
-    the Python floats of its float update, and only the landmark estimates
-    are one (B, n, 3) array; a step stacks the rotations and positions into
-    arrays for the landmark-axis formulas. One _stacked_step call advances
-    every member still in the batch and drops, with that step as its
-    aborted_step, each member whose update leaves the finite range. Only
-    the squared max_e column and the final landmark errors are recorded.
+    Members with equal noise share one measurement stream; otherwise each
+    draws from its own generator. Members that also share alpha and k_w (the
+    k_p and gamma_scale axes) share each block's _block_inputs; otherwise
+    each has its own on a member axis. Between steps each member's pose and
+    biases stay the Python floats of its float update, and only the landmark
+    estimates are one (B, n, 3) array. One _stacked_step call advances every
+    member still in the batch and drops, with that step as its aborted_step,
+    each member whose update leaves the finite range. Only the squared max_e
+    column and the final landmark errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
     landmarks = base.landmarks
     gains = StackedGains.of([c.gains for c in configs])
-    if all(c.noise == base.noise for c in configs):
-        noise, rng, member_noise = base.noise, base.noise.make_rng(), None
-    else:
-        noise, rng = NoiseSpec(), None
-        member_noise = [(c.noise, c.noise.make_rng()) for c in configs]
+    shared = len({(c.noise, c.gains.k_w, c.gains.alpha.tobytes()) for c in configs}) == 1
+    # A member-step of own inputs holds about four arrays the size of its
+    # y (the draws, y, W and the Gram's operand): a quarter of RECORD_CHUNK
+    # member-steps keeps a block's memory near that of one truth block.
+    span = RECORD_CHUNK if shared else max(1, RECORD_CHUNK // (4 * len(configs)))
+    noises = {c.noise for c in configs}
+    streams = [(c.noise, c.noise.make_rng()) for c in (configs if len(noises) > 1 else configs[:1])]
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = base.initial_estimates.arrays()
     rows = (r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist())
     members = [rows] * len(configs)
@@ -507,35 +531,55 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     # root of the largest square is the largest norm, bit for bit.
     max_e_squared = np.empty((steps + 1, len(configs)))
     flat = chain.from_iterable
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, _, _, _, measurement in _truth(base):
-            measurement = _add_noise_raw(measurement, noise, rng)
-            if member_noise is not None:
-                draws = [_add_noise_raw(measurement, n, r) for n, r in member_noise]
-                measurement = tuple(np.stack(parts) for parts in zip(*draws))
-            # fromiter over the flat floats takes half the time of np.array
-            # over the nested rows.
-            r_rows, p_rows, *_ = zip(*members)
-            r_hat = np.fromiter(flat(flat(r_rows)), float, 9 * alive.size).reshape(-1, 3, 3)
-            p_hat = np.fromiter(flat(p_rows), float, 3 * alive.size).reshape(-1, 3)
-            e = _errors_raw(r_hat, p_hat, landmarks_hat, measurement[2])
-            e_squared = (e * e).sum(axis=-1)
-            max_e_squared[k, alive] = e_squared.max(axis=-1)
-            if k == steps:
-                break
-            (members, landmarks_hat), failed = _stacked_step(
-                (members, landmarks_hat), r_hat, measurement, e, e_squared,
-                gains, dt, implicit=True,
-            )
-            if failed.any():
-                for i in alive[failed]:
-                    aborted[i] = k
-                keep = ~failed
-                alive, gains = alive[keep], gains.take(keep)
-                if member_noise is not None:
-                    member_noise = list(compress(member_noise, keep))
-                if not alive.size:
+    with np.errstate(all="ignore"):
+        for block, _, _, measurement in _truth(base, span):
+            draws = [_add_noise(measurement, *stream) for stream in streams]
+            if shared:
+                (measurement,), alpha, c = draws, gains.alpha[0], dt * gains.k_w[0]
+            else:
+                # Each member's measurement on axis 1, after the step axis.
+                shape = (len(block), alive.size)
+                measurement = [
+                    np.broadcast_to(np.stack(parts, axis=1), shape + parts[0].shape[1:])
+                    for parts in zip(*draws)
+                ]
+                alpha, c = gains.alpha, dt * np.array(gains.k_w)
+            # The block's members still alive, once one has dropped in it.
+            live = None
+            for k, y, omega_m, v_m, w, terms in zip(
+                block, measurement[2], *_block_inputs(measurement, alpha, c)
+            ):
+                if shared:
+                    omega_m, v_m, terms = repeat(omega_m), repeat(v_m), repeat(terms)
+                elif live is not None:
+                    y, w = y[live], w[live]
+                    omega_m, v_m, terms = ([x[i] for i in live] for x in (omega_m, v_m, terms))
+                # fromiter over the flat floats takes half the time of
+                # np.array over the nested rows.
+                r_rows, p_rows, *_ = zip(*members)
+                r_hat = np.fromiter(flat(flat(r_rows)), float, 9 * alive.size).reshape(-1, 3, 3)
+                p_hat = np.fromiter(flat(p_rows), float, 3 * alive.size).reshape(-1, 3)
+                e = _errors_raw(r_hat, p_hat, landmarks_hat, y)
+                e_squared = (e * e).sum(axis=-1)
+                max_e_squared[k, alive] = e_squared.max(axis=-1)
+                if k == steps:
                     break
+                (members, landmarks_hat), failed = _stacked_step(
+                    (members, landmarks_hat), r_hat, (omega_m, v_m, w, terms), e, e_squared,
+                    gains, dt,
+                )
+                if failed.any():
+                    for i in alive[failed]:
+                        aborted[i] = k
+                    keep = ~failed
+                    alive, gains = alive[keep], gains.take(keep)
+                    if not alive.size:
+                        break
+                    if not shared:
+                        streams = list(compress(streams, keep)) if len(noises) > 1 else streams
+                        live = np.flatnonzero(keep) if live is None else live[keep]
+            if not alive.size:
+                break
     t = np.arange(steps + 1) * dt
     p_err = _error_norms(landmarks - landmarks_hat).max(axis=-1)
     summaries = [(None, math.nan, math.nan, step) for step in aborted]

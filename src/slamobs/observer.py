@@ -24,20 +24,23 @@ literal discretization of the continuous law; the scenario runner
 (harness.trajectory) steps with the implicit one. The rotation estimate is
 re-projected onto the orthonormal manifold after every update.
 
-The step splits by the kind of data. Each formula over the landmark axis
-(the errors, the adaptation gains and landmark update, and one alpha-weighted
-moment product behind the innovation sums and the implicit solve) is one
-broadcasting numpy function, shared by one observer (_step_raw) and by
-observers stacked on a leading member axis (_stacked_step). The 3-vector and
-3x3 algebra (the feedback solve, the corrected twist, the exponential, the
-projection, the position and bias updates) runs on Python floats, one
-observer at a time (_member_update). One observer's step (_step_raw, which
-observer_step and the harness loop call) takes and returns P_hat and the
-biases as those floats and R_hat as the array that the landmark-axis
-formulas take; a stack keeps each member's pose and biases as those floats
-between steps and loops over its members, so a stacked member runs its solo
-step's code, and a member whose update leaves the finite range drops out of
-the stack alone.
+The step splits first by what depends on the estimate. The alpha-weighted rows
+W of y, their Gram (_weights) and the part of the implicit solve that these
+fix (_solve_terms) depend only on y, alpha and dt k_w: observer_step computes
+them on Python floats, the harness once per block of steps on (K,) columns,
+with the same bits. Of the rest, each formula over the landmark axis (the
+errors, the adaptation gains and landmark update, and the innovation moments
+G = W (e R_hat)) is one broadcasting numpy function, shared by one observer
+(_step_raw) and by observers stacked on a leading member axis (_stacked_step).
+The 3-vector and 3x3 algebra (the solve's application to G, the corrected
+twist, the exponential, the projection, the position and bias updates) runs on
+Python floats, one observer at a time (_member_update). One observer's step
+(_step_raw, which observer_step and the harness loop call) takes and returns
+P_hat and the biases as those floats and R_hat as the array that the
+landmark-axis formulas take; a stack keeps each member's pose and biases as
+those floats between steps and loops over its members, so a stacked member
+runs its solo step's code, and a member whose update leaves the finite range
+drops out of the stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -299,25 +302,25 @@ def _errors_raw(
     return landmarks_hat - (y @ r_hat.swapaxes(-1, -2) + p_hat[..., None, :])
 
 
-def _landmark_moments(
-    r_hat: np.ndarray, y: np.ndarray, gains: GainConfig, e: np.ndarray
-) -> np.ndarray:
-    """The alpha-weighted moments of the landmark rows, one (4, 7) matrix.
-
-    With the body-frame errors R_hat^T e_i and the rows
-    z_i = (y_i, 1, R_hat^T e_i), this is sum_i z_i[:4] z_i^T / alpha_i:
-    - columns 0-3 are the Gram matrix [[S2, m], [m^T, sum_i 1/alpha_i]] of
-      the implicit solve, S2 = sum_i y_i y_i^T / alpha_i, m = sum_i y_i / alpha_i;
-    - columns 4-6 hold G = sum_i y_i u_i^T in rows 0-2 and sum_i u_i in
-      row 3, u_i = R_hat^T e_i / alpha_i, whence the innovation sums.
-    It is the one product over the landmark axis behind both sums, for one
-    member and, stacked on a leading axis (see _stacked_step), for many.
-    """
-    z = np.empty((*e.shape[:-1], 7))
+def _weights(y: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """With z_i = (y_i, 1): W = [z_1 / alpha_1, ..., z_n / alpha_n], shape
+    (..., 4, n), and its Gram W z = [[S2, m], [m^T, sum_i 1/alpha_i]] of the
+    implicit solve, S2 = sum_i y_i y_i^T / alpha_i, m = sum_i y_i / alpha_i.
+    Neither depends on the estimate; y and alpha broadcast over leading
+    step and member axes."""
+    z = np.empty((*y.shape[:-1], 4))
     z[..., :3] = y
     z[..., 3] = 1.0
-    z[..., 4:] = e @ r_hat
-    return (z[..., :4].swapaxes(-1, -2) / gains.alpha[..., None, :]) @ z
+    w = z.swapaxes(-1, -2) / alpha[..., None, :]
+    return w, w @ z
+
+
+def _error_moments(w: np.ndarray, e: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
+    """G = W (e R_hat), with sum_i y_i u_i^T in rows 0-2 and sum_i u_i in
+    row 3, u_i = R_hat^T e_i / alpha_i: the one product over the landmark
+    axis of a step that depends on the estimate, for one observer or a
+    stack (see _stacked_step)."""
+    return w @ (e @ r_hat)
 
 
 def correction_terms(
@@ -326,42 +329,34 @@ def correction_terms(
     """Innovation terms (w_omega, w_v) subtracted from the measured velocities."""
     e = landmark_errors(state, frame)
     _check_gain_count(gains, state.count)
-    moments = _landmark_moments(state.r_hat.m, frame.y, gains, e)
-    s_omega, s_v = _feedback_sums(moments.tolist(), None)
+    w, _ = _weights(frame.y, gains.alpha)
+    s_omega, s_v = _feedback_apply(None, _error_moments(w, e, state.r_hat.m).tolist())
     return -gains.k_w * np.array(s_omega), -gains.k_w * np.array(s_v)
 
 
-def _feedback_sums(moments, c) -> tuple[tuple, tuple]:
-    """The innovation sums (s_omega, s_v) fed back into the step.
+def _solve_terms(gram, c) -> tuple:
+    """The estimate-free part of the implicit scheme (c = dt k_w), which
+    feeds back the solution s_bar of (I + c M) s_bar = s, not the sums s.
 
-    moments holds the entries of _landmark_moments. The explicit scheme
-    (c None) feeds back s_omega = sum_i y_i x u_i, the antisymmetric part
-    of G: (G12 - G21, G20 - G02, G01 - G10), and s_v = sum_i u_i.
-
-    The implicit scheme (c = dt k_w) feeds back their solution of
-    (I + c M) s_bar = s. M = sum_i A_i^T A_i / alpha_i with
-    A_i = [[y_i]_x, -I] is the Jacobian of the sums with respect to the
-    feedback twist, with the closed form
-    [[tr(S2) I - S2, [m]_x], [-[m]_x, (sum_i 1/alpha_i) I]]. Eliminating
-    the velocity block, whose diagonal is d I with d = 1 + c sum_i 1/alpha_i,
-    leaves the SPD system K s_bar_omega = s_omega - (c/d) m x s_v with
+    M = sum_i A_i^T A_i / alpha_i with A_i = [[y_i]_x, -I] is the Jacobian
+    of the sums with respect to the feedback twist, with the closed form
+    [[tr(S2) I - S2, [m]_x], [-[m]_x, (sum_i 1/alpha_i) I]] in the entries
+    of the Gram of _weights. Eliminating the velocity block, whose diagonal
+    is d I with d = 1 + c sum_i 1/alpha_i, leaves the SPD system
+    K s_bar_omega = s_omega - f m x s_v with f = c/d and
     K = (1 + c tr(S2) - (c^2/d) ||m||^2) I - c S2 + (c^2/d) m m^T, solved by
-    cofactors; then s_bar_v = (s_v + c m x s_bar_omega) / d. s_bar is the
-    innovation sum of the body-frame errors R_hat^T e_i + c A_i s_bar, that
-    is, of the errors after the feedback alone with the y_i held fixed.
+    cofactors; then s_bar_v = (s_v + c m x s_bar_omega) / d (see
+    _feedback_apply). s_bar is the innovation sum of the body-frame errors
+    R_hat^T e_i + c A_i s_bar, that is, of the errors after the feedback
+    alone with the y_i held fixed.
 
-    moments is the nested list of Python floats and the results are two
-    3-tuples of them.
+    gram holds the Gram's rows of Python floats or of (K,) columns, which c
+    broadcasts against: the arithmetic is elementwise, with the same bits
+    either way, except that a zero determinant raises ZeroDivisionError on
+    floats and gives inf on columns. Returns (c, d, f, m0, m1, m2, the
+    adjugate entries c00, c01, c02, c11, c12, c22 of K, 1 / det K).
     """
-    (
-        (a00, a01, a02, m0, g00, g01, g02),
-        (_, a11, a12, m1, g10, g11, g12),
-        (_, _, a22, m2, g20, g21, g22),
-        (_, _, _, inv_alpha_sum, v0, v1, v2),
-    ) = moments
-    w0, w1, w2 = g12 - g21, g20 - g02, g01 - g10
-    if c is None:
-        return (w0, w1, w2), (v0, v1, v2)
+    (a00, a01, a02, m0), (_, a11, a12, m1), (_, _, a22, m2), (_, _, _, inv_alpha_sum) = gram
     d = 1.0 + c * inv_alpha_sum
     q = c * c / d
     diag = 1.0 + c * (a00 + a11 + a22) - q * (m0 * m0 + m1 * m1 + m2 * m2)
@@ -371,10 +366,6 @@ def _feedback_sums(moments, c) -> tuple[tuple, tuple]:
     k01 = q * m0 * m1 - c * a01
     k02 = q * m0 * m2 - c * a02
     k12 = q * m1 * m2 - c * a12
-    f = c / d
-    r0 = w0 - f * (m1 * v2 - m2 * v1)
-    r1 = w1 - f * (m2 * v0 - m0 * v2)
-    r2 = w2 - f * (m0 * v1 - m1 * v0)
     c00 = k11 * k22 - k12 * k12
     c01 = k02 * k12 - k01 * k22
     c02 = k01 * k12 - k02 * k11
@@ -382,6 +373,26 @@ def _feedback_sums(moments, c) -> tuple[tuple, tuple]:
     c12 = k01 * k02 - k00 * k12
     c22 = k00 * k11 - k01 * k01
     inv_det = 1.0 / (k00 * c00 + k01 * c01 + k02 * c02)
+    return c, d, c / d, m0, m1, m2, c00, c01, c02, c11, c12, c22, inv_det
+
+
+def _feedback_apply(terms, g) -> tuple[tuple, tuple]:
+    """The innovation sums (s_omega, s_v) fed back into the step, as two
+    3-tuples of Python floats, from the entries g of _error_moments.
+
+    The explicit scheme (terms None) feeds back s_omega = sum_i y_i x u_i,
+    the antisymmetric part of G: (G12 - G21, G20 - G02, G01 - G10), and
+    s_v = sum_i u_i; the implicit one s_bar, solved with the step's
+    _solve_terms.
+    """
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22), (v0, v1, v2) = g
+    w0, w1, w2 = g12 - g21, g20 - g02, g01 - g10
+    if terms is None:
+        return (w0, w1, w2), (v0, v1, v2)
+    c, d, f, m0, m1, m2, c00, c01, c02, c11, c12, c22, inv_det = terms
+    r0 = w0 - f * (m1 * v2 - m2 * v1)
+    r1 = w1 - f * (m2 * v0 - m0 * v2)
+    r2 = w2 - f * (m0 * v1 - m1 * v0)
     x0 = (c00 * r0 + c01 * r1 + c02 * r2) * inv_det
     x1 = (c01 * r0 + c11 * r1 + c12 * r2) * inv_det
     x2 = (c02 * r0 + c12 * r1 + c22 * r2) * inv_det
@@ -406,7 +417,7 @@ def observer_step(
     gain, and the bias estimates integrate the matrix-gain-weighted sums.
     scheme "explicit" feeds back the sums of the pre-update errors;
     "implicit" feeds back their implicit-Euler filtered values (see
-    _feedback_sums), the same sums in both the twist and the bias update.
+    _solve_terms), the same sums in both the twist and the bias update.
     The explicit default is stable only below dt ~ 2 / (k_w / alpha *
     sum_i ||y_i||^2), about 6e-5 s on the reference scenario; the scenario
     runner uses "implicit". A DivergenceError signals that the update left
@@ -420,91 +431,77 @@ def observer_step(
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
     estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        r_new, *rest = _step_raw(
-            estimate,
-            (frame.omega_m, frame.v_m, frame.y),
-            landmark_errors(state, frame),
-            gains,
-            dt,
-            implicit=scheme == "implicit",
-        )
+        e = landmark_errors(state, frame)
+        w, gram = _weights(frame.y, gains.alpha)
+        try:
+            terms = _solve_terms(gram.tolist(), dt * gains.k_w) if scheme == "implicit" else None
+        except ZeroDivisionError as exc:
+            raise _diverged(exc) from exc
+        inputs = (frame.omega_m.tolist(), frame.v_m.tolist(), w, terms)
+        r_new, *rest = _step_raw(estimate, inputs, e, gains, dt)
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
-def _landmark_part(r_hat, landmarks_hat, y, e, e_squared, gains, dt: float) -> tuple:
-    """A step's landmark-axis part, for one observer or a stack: the
-    moments and the new landmarks landmarks_hat - dt psi(e_i) e_i, with
-    e_squared the squared norms ||e_i||^2."""
+def _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains, dt: float) -> tuple:
+    """A step's landmark-axis part, for one observer or a stack: G and the
+    new landmarks landmarks_hat - dt psi(e_i) e_i, with e_squared the
+    squared norms ||e_i||^2."""
     return (
-        _landmark_moments(r_hat, y, gains, e),
+        _error_moments(w, e, r_hat),
         landmarks_hat - (dt * _gain_of_squares(e_squared, gains.k_p))[..., None] * e,
     )
 
 
-def _step_raw(
-    estimate: tuple,
-    measurement: tuple,
-    e: np.ndarray,
-    gains: GainConfig,
-    dt: float,
-    implicit: bool,
-) -> tuple:
+def _step_raw(estimate: tuple, inputs: tuple, e: np.ndarray, gains: GainConfig, dt: float) -> tuple:
     """observer_step on raw values, given the errors e of this state and frame.
 
     estimate is (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) with
     R_hat and the landmark estimates as the arrays that the landmark-axis
     formulas take, and P_hat and the biases as the three Python floats each
     that _member_update takes and returns; the result is the estimate after
-    the step in the same layout. measurement is (omega_m, v_m, y) as
-    arrays. Inputs are not validated, and the caller holds np.errstate so
-    that an overflow surfaces as a DivergenceError, not as a warning. The
-    pose and bias update runs on Python floats, where numpy's call overhead
-    would cost more than its 3-vector and 3x3 arithmetic.
+    the step in the same layout. inputs is (omega_m, v_m, w, terms): the
+    measured velocities as Python floats, W, and the implicit scheme's
+    _solve_terms or None. Inputs are not validated, and the caller holds
+    np.errstate so that an overflow surfaces as a DivergenceError, not as a
+    warning. The pose and bias update runs on Python floats, where numpy's
+    call overhead would cost more than its 3-vector and 3x3 arithmetic.
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, y = measurement
-    moments, landmarks_new = _landmark_part(
-        r_hat, landmarks_hat, y, e, (e * e).sum(axis=-1), gains, dt
-    )
+    omega_m, v_m, w, terms = inputs
+    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, (e * e).sum(axis=-1), gains, dt)
     r_new, p_new, b_omega_new, b_v_new = _member_update(
         r_hat.tolist(), p_hat, b_omega_hat, b_v_hat,
-        omega_m.tolist(), v_m.tolist(), moments.tolist(),
-        gains.k_w, gains.gamma_rows, dt, implicit,
+        omega_m, v_m, g.tolist(), terms, gains.k_w, gains.gamma_rows, dt,
     )
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
     return np.array(r_new), p_new, landmarks_new, b_omega_new, b_v_new
 
 
-def _stacked_step(stack, r_hat, measurement, e, e_squared, gains: StackedGains, dt, implicit):
+def _stacked_step(stack, r_hat, inputs, e, e_squared, gains: StackedGains, dt):
     """_step_raw for B members stacked on a leading axis.
 
     stack is (members, landmarks_hat): each member's (r_hat rows, p_hat,
     b_omega_hat, b_v_hat) as the Python floats that _member_update takes
     and returns, and every member's landmarks_hat in one (B, n, 3) array.
     r_hat holds the members' rotations as one (B, 3, 3) array, e their
-    landmark errors and e_squared the errors' squared norms. Each
-    measurement array has the member axis too or is shared by every member.
+    landmark errors and e_squared the errors' squared norms. inputs is as
+    in _step_raw, with omega_m, v_m and terms iterables over the members.
     The landmark-axis formulas run once over the stack, then each member's
     own _member_update, so a member gets the bits of its one-member step.
     Returns (the new stack of the members that stayed finite, the mask of
     those that did not); a member's failure never raises.
     """
     members, landmarks_hat = stack
-    omega_m, v_m, y = measurement
-    moments, landmarks_new = _landmark_part(r_hat, landmarks_hat, y, e, e_squared, gains, dt)
-    count = len(members)
-    if omega_m.ndim == 1:
-        omega_m, v_m = [omega_m.tolist()] * count, [v_m.tolist()] * count
-    else:
-        omega_m, v_m = omega_m.tolist(), v_m.tolist()
+    omega_m, v_m, w, terms = inputs
+    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains, dt)
     finite = np.isfinite(landmarks_new).all(axis=(1, 2))
     updates = []
-    for i, (rows, *inputs) in enumerate(
-        zip(members, omega_m, v_m, moments.tolist(), gains.k_w, gains.gamma)
+    for i, (rows, *member_inputs) in enumerate(
+        zip(members, omega_m, v_m, g.tolist(), terms, gains.k_w, gains.gamma)
     ):
         try:
-            updates.append(_member_update(*rows, *inputs, dt, implicit))
+            updates.append(_member_update(*rows, *member_inputs, dt))
         except DivergenceError:
             finite[i] = False
             # The member's old rows hold its place; the mask drops them.
@@ -515,19 +512,24 @@ def _stacked_step(stack, r_hat, measurement, e, e_squared, gains: StackedGains, 
     return (updates, landmarks_new), ~finite
 
 
-def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, implicit) -> tuple:
+def _diverged(exc: ArithmeticError | ValueError) -> DivergenceError:
+    """The DivergenceError of a float exception in the update."""
+    return DivergenceError(f"observer update failed ({exc}); reduce dt or the gains")
+
+
+def _member_update(r, p, b_omega, b_v, omega_m, v_m, g, terms, k_w, gamma, dt) -> tuple:
     """The pose and bias part of one member's step, on Python floats.
 
     The estimate and measurement arrive as Python floats (r and gamma as
-    rows), with the entries of _landmark_moments; returns the new rotation
-    rows, position and biases. Raises DivergenceError when the corrected
-    twist or the new state is not finite, or when the float arithmetic
-    raises where numpy would return inf or NaN.
+    rows), with g and terms as _feedback_apply takes them; returns the new
+    rotation rows, position and biases. Raises DivergenceError when the
+    corrected twist or the new state is not finite, or when the float
+    arithmetic raises where numpy would return inf or NaN.
     """
     bo0, bo1, bo2 = b_omega
     bv0, bv1, bv2 = b_v
     try:
-        (s0, s1, s2), (u0, u1, u2) = _feedback_sums(moments, dt * k_w if implicit else None)
+        (s0, s1, s2), (u0, u1, u2) = _feedback_apply(terms, g)
         # The innovation term -k_w s is subtracted from the measured velocity.
         w0 = (omega_m[0] - bo0 + k_w * s0) * dt
         w1 = (omega_m[1] - bo1 + k_w * s1) * dt
@@ -541,7 +543,7 @@ def _member_update(r, p, b_omega, b_v, omega_m, v_m, moments, k_w, gamma, dt, im
             raise DivergenceError("correction terms overflowed; reduce dt or the gains")
         r_new, p_new = _advance(r, p, *_exp_floats((w0, w1, w2), (x0, x1, x2)))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
+        raise _diverged(exc) from exc
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gamma
     b_omega_new = (
         bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),

@@ -41,7 +41,15 @@ COLLINEAR_RTOL = 1e-9
 # Bounded repr for echoing file values in messages. No field is more than
 # 2-D, so two levels of nesting show any valid shape; deeper lists, long
 # lists, long strings and huge integers are elided.
-_short = reprlib.Repr()
+class _ShortRepr(reprlib.Repr):
+    def repr_int(self, x, level):
+        # repr refuses an integer of more than 4,300 digits.
+        if x.bit_length() > 256:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+_short = _ShortRepr()
 _short.maxlevel = 2
 
 

@@ -6,9 +6,10 @@ being approximated by an Euler or Runge-Kutta update) and synthesizes biased,
 optionally noisy body-frame measurements of velocity and landmark positions.
 The pose and its increment are computed on Python floats by geometry's
 _increment_raw and _advance, the kernels of the harness's chained truth too.
-The landmark measurement has one body (_measure), one product over a block of
-K poses: sense calls it with K = 1, and the harness with blocks of its
-chained truth, which get each pose's bits from it.
+The landmark measurement (_measure, one product) and the noise (_add_noise,
+one draw) each have one body over a block of K steps: sense calls them with
+K = 1, and the harness with blocks of its chained truth, each step of which
+gets the bits of its own call.
 
 A run is sequential because the noise generator threads through it; distinct
 runs with their own state and generator may execute concurrently.
@@ -171,22 +172,25 @@ def _measure(
     return y
 
 
-def _add_noise_raw(
+def _add_noise(
     measurement: tuple, noise: NoiseSpec, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A noise-free (omega_m, v_m, y) plus this step's draws from rng.
-
-    Draws happen in sense's order (gyro, velocity, landmarks) and only for
-    nonzero sigmas.
+    """A noise-free (omega_m, v_m, y) of K steps, shapes (K, 3), (K, 3) and
+    (K, n, 3), plus those steps' draws from rng: one standard_normal((K,
+    width)) call, each row sliced in sense's order (gyro, velocity,
+    landmarks) over the nonzero sigmas. The generator fills the rows in
+    order, so a block gets the bits of K one-step calls, which sense makes.
     """
-    omega_m, v_m, y = measurement
-    if noise.sigma_omega > 0.0:
-        omega_m = omega_m + noise.sigma_omega * rng.standard_normal(3)
-    if noise.sigma_v > 0.0:
-        v_m = v_m + noise.sigma_v * rng.standard_normal(3)
-    if noise.sigma_y > 0.0:
-        y = y + noise.sigma_y * rng.standard_normal(y.shape)
-    return omega_m, v_m, y
+    sigmas = (noise.sigma_omega, noise.sigma_v, noise.sigma_y)
+    sizes = [part[0].size if sigma > 0.0 else 0 for part, sigma in zip(measurement, sigmas)]
+    if not any(sizes):
+        return measurement
+    draws = rng.standard_normal((len(measurement[0]), sum(sizes)))
+    columns = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+    return tuple(
+        part + sigma * column.reshape(part.shape) if column.size else part
+        for part, sigma, column in zip(measurement, sigmas, columns)
+    )
 
 
 def sense(
@@ -206,6 +210,7 @@ def sense(
     """
     _check_landmark_bias(bias, state.count)
     rot, pos = state.pose.rotation.m, state.pose.position
-    y = _measure(rot[None], pos[None], state.landmarks, bias)[0]
-    omega_m, v_m, y = _add_noise_raw((u.omega + bias.omega, u.vel + bias.vel, y), noise, rng)
-    return SensorFrame(omega_m, v_m, y, t)
+    y = _measure(rot[None], pos[None], state.landmarks, bias)
+    velocities = ((u.omega + bias.omega)[None], (u.vel + bias.vel)[None])
+    omega_m, v_m, y = _add_noise((*velocities, y), noise, rng)
+    return SensorFrame(omega_m[0], v_m[0], y[0], t)

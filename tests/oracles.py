@@ -46,3 +46,18 @@ def twist_matrix(omega, vel) -> np.ndarray:
     m[:3, :3] = hat_oracle(omega)
     m[:3, 3] = np.asarray(vel, dtype=float)
     return m
+
+
+def landmark_moments(r_hat, y, alpha, e) -> np.ndarray:
+    """The alpha-weighted moments of the landmark rows as one (..., 4, 7)
+    product, the form the observer computed them in before it split them.
+
+    With the rows z_i = (y_i, 1, R_hat^T e_i) this is
+    sum_i z_i[:4] z_i^T / alpha_i: columns 0-3 are the Gram matrix of the
+    implicit solve and columns 4-6 the innovation moments G.
+    """
+    z = np.empty((*e.shape[:-1], 7))
+    z[..., :3] = y
+    z[..., 3] = 1.0
+    z[..., 4:] = e @ r_hat
+    return (z[..., :4].swapaxes(-1, -2) / alpha[..., None, :]) @ z

@@ -724,13 +724,15 @@ class TestSweep:
         [
             ("k_w", [2.0, 1e300, 4.0], [None, 0, None]),
             ("k_p", [0.5, 2.0, 1e3, 1e5], [None, None, 5, 4]),
+            # Members with their own inputs, dropping at three steps of one block.
+            ("sigma_v", [0.0, 1e5, 1e50, 1e8, 100.0], [None, 7, 2, 5, None]),
         ],
     )
     def test_diverging_members_abort_alone(self, monkeypatch, axis, values, aborted):
         calls = []
-        moments = observer._landmark_moments
+        moments = observer._error_moments
         monkeypatch.setattr(
-            observer, "_landmark_moments", lambda *args: calls.append(1) or moments(*args)
+            observer, "_error_moments", lambda *args: calls.append(1) or moments(*args)
         )
         base = reference_scenario().with_overrides(dt=1e-3, duration=0.5)
         results = sweep(base, axis, values)

@@ -40,9 +40,9 @@ from slamobs import (
     so3_exp,
 )
 
-from slamobs import observer
+from slamobs import harness, observer
 
-from oracles import matexp_taylor, twist_matrix
+from oracles import landmark_moments, matexp_taylor, twist_matrix
 
 SQUARE_LANDMARKS = np.array(
     [[7.0, 7.0, 0.0], [-7.0, 7.0, 0.0], [7.0, -7.0, 0.0], [-7.0, -7.0, 0.0]]
@@ -433,21 +433,39 @@ def _stack_members(rng):
     return estimates, [(omega_m[i], v_m[i], y[i]) for i in range(3)], e, gains
 
 
+def _inputs(measurement, gains, dt, implicit):
+    """One member's estimate-free step inputs (omega_m, v_m, w, terms), as
+    observer_step computes them."""
+    omega_m, v_m, y = measurement
+    w, gram = observer._weights(y, gains.alpha)
+    terms = observer._solve_terms(gram.tolist(), dt * gains.k_w) if implicit else None
+    return omega_m.tolist(), v_m.tolist(), w, terms
+
+
 def _run_stack(estimates, measurement, e, gains, dt, implicit):
     """observer._stacked_step on per-member estimates laid out as
     ObserverState.arrays(), with a stacked or shared measurement.
 
     The stack holds each member's pose and biases as Python-float rows and
-    every member's landmarks in one array, as the sweep keeps them. Returns
-    the new estimate of each member that stayed finite, as arrays in the
-    same layout, and the mask of the members that did not.
+    every member's landmarks in one array, as the sweep keeps them; W comes
+    from one _weights call over the members. Returns the new estimate of
+    each member that stayed finite, as arrays in the same layout, and the
+    mask of the members that did not.
     """
     members = [tuple(a.tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
     stack = members, np.stack([estimate[2] for estimate in estimates])
     r_hat = np.stack([estimate[0] for estimate in estimates])
+    omega_m, v_m, y = measurement
+    w, gram = observer._weights(y, np.stack([g.alpha for g in gains]))
+    terms = [
+        observer._solve_terms(m.tolist(), dt * g.k_w) if implicit else None
+        for m, g in zip(gram, gains)
+    ]
+    if omega_m.ndim == 1:
+        omega_m, v_m = [omega_m] * len(gains), [v_m] * len(gains)
+    inputs = [a.tolist() for a in omega_m], [a.tolist() for a in v_m], w, terms
     (members, landmarks_hat), failed = observer._stacked_step(
-        stack, r_hat, measurement, e, (e * e).sum(axis=-1),
-        observer.StackedGains.of(list(gains)), dt, implicit,
+        stack, r_hat, inputs, e, (e * e).sum(axis=-1), observer.StackedGains.of(list(gains)), dt
     )
     assert len(members) == len(landmarks_hat) == (~failed).sum()
     return [
@@ -458,6 +476,71 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
 
 def _stacked_measurement(measurements):
     return tuple(np.stack(parts) for parts in zip(*measurements))
+
+
+class TestSplitMoments:
+    # W and the Gram are computed once per block of steps, G once per step;
+    # both must keep the bits of the one (4, 7) product they replace, for one
+    # observer and for members that share or do not share y and alpha.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 64),
+        k=st.integers(1, 8),
+        b=st.integers(1, 16),
+        layout=st.sampled_from(["one", "shared", "broadcast", "stacked"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_and_moments_equal_the_old_product(self, n, k, b, layout, seed):
+        rng = np.random.default_rng(seed)
+        members = () if layout == "one" else (b,)
+        y = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(k, n, 3))
+        alpha = rng.uniform(0.05, 1.0, n)
+        if layout == "broadcast":
+            y = np.broadcast_to(y[:, None], (k, b, n, 3))
+        if layout in ("broadcast", "stacked"):
+            alpha = rng.uniform(0.05, 1.0, (b, n))
+        if layout == "stacked":
+            y = rng.normal(size=(k, b, n, 3))
+        w, gram = observer._weights(y, alpha)
+        for j in range(k):
+            r_hat = np.array([so3_exp(rng.normal(size=3)).m for _ in range(b)])
+            r_hat = r_hat.reshape(*members, 3, 3) if members else r_hat[0]
+            e = rng.normal(size=(*members, n, 3))
+            old = landmark_moments(r_hat, y[j], alpha, e)
+            assert np.array_equal(old[..., :4], np.broadcast_to(gram[j], old[..., :4].shape))
+            assert np.array_equal(old[..., 4:], observer._error_moments(w[j], e, r_hat))
+
+
+class TestSolveTerms:
+    # The harness solves a block's K steps on columns, observer_step one step
+    # on Python floats; the arithmetic is elementwise, so the bits agree.
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 24),
+        k=st.integers(1, 40),
+        b=st.none() | st.integers(1, 16),
+        log_c=st.floats(-9.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_columns_equal_float_calls(self, n, k, b, log_c, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(k, n, 3))
+        alpha = rng.uniform(0.05, 1.0, n)
+        c = 10.0**log_c
+        if b is not None:
+            y = rng.normal(size=(k, b, n, 3))
+            alpha = rng.uniform(0.05, 1.0, (b, n))
+            c = c * rng.uniform(0.5, 2.0, b)
+        velocities = rng.normal(size=(2, *y.shape[:-2], 3))
+        omega_m, v_m, w, terms = harness._block_inputs((*velocities, y), alpha, c)
+        assert omega_m == velocities[0].tolist() and v_m == velocities[1].tolist()
+        expected_w, gram = observer._weights(y, alpha)
+        assert np.array_equal(w, expected_w)
+        expected = [
+            observer._solve_terms(rows.tolist(), c if b is None else float(c[i % b]))
+            for i, rows in enumerate(gram.reshape(-1, 4, 4))
+        ]
+        assert np.array_equal(np.reshape(terms, (-1, 13)), np.array(expected))
 
 
 class TestStackedStep:
@@ -536,7 +619,9 @@ class TestMemberStepProperty:
         )
         assert not failed.any()
         for i, ((estimate, e, member_gains), m) in enumerate(zip(members, measurements)):
-            solo = observer._step_raw(estimate, m, e, member_gains, 0.01, implicit)
+            solo = observer._step_raw(
+                estimate, _inputs(m, member_gains, 0.01, implicit), e, member_gains, 0.01
+            )
             for got, want in zip(batch[i], solo):
                 assert np.array_equal(got, want)
 
@@ -560,7 +645,9 @@ class TestMemberDivergence:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(DivergenceError, match="correction terms overflowed"):
-                    observer._step_raw(estimate, measurement, e, gains, 0.01, implicit)
+                    observer._step_raw(
+                        estimate, _inputs(measurement, gains, 0.01, implicit), e, gains, 0.01
+                    )
 
     def test_float_exception_surfaces_as_divergence_error(self, rng, monkeypatch):
         def overflow(*_):
@@ -569,7 +656,9 @@ class TestMemberDivergence:
         monkeypatch.setattr(observer, "_exp_floats", overflow)
         estimates, measurements, e, gains = _stack_members(rng)
         with pytest.raises(DivergenceError) as info:
-            observer._step_raw(estimates[2], measurements[2], e[2], gains[2], 0.01, True)
+            observer._step_raw(
+                estimates[2], _inputs(measurements[2], gains[2], 0.01, True), e[2], gains[2], 0.01
+            )
         assert isinstance(info.value.__cause__, OverflowError)
 
 
@@ -577,7 +666,9 @@ class TestMemberDivergence:
         estimates, measurements, e, gains = _stack_members(rng)
         dt = 0.01
         solo = [
-            observer._step_raw(estimates[i], measurements[i], e[i], gains[i], dt, True)
+            observer._step_raw(
+                estimates[i], _inputs(measurements[i], gains[i], dt, True), e[i], gains[i], dt
+            )
             for i in (0, 2)
         ]
         exp_floats, calls = observer._exp_floats, []

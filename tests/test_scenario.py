@@ -187,6 +187,17 @@ class TestValidation:
             with pytest.raises(ScenarioError, match="duration is out of range"):
                 scenario_from_dict(dict(MINIMAL, duration=duration))
 
+    def test_too_large_integer_in_a_message(self):
+        # The bounded repr of a rejected value must not format an integer of
+        # more than 4,300 digits, which repr refuses.
+        for data in (
+            dict(MINIMAL, landmarks=[[10**5000, "a", 0]] * 3),
+            dict(MINIMAL, name=10**5000),
+        ):
+            with pytest.raises(ScenarioError, match="int of 16610 bits") as info:
+                scenario_from_dict(data)
+            assert "Exceeds the limit" not in str(info.value)
+
     def test_step_cap(self):
         data = dict(MINIMAL, duration=1e7, dt=1e-3)
         with pytest.raises(ScenarioError, match="step cap"):

@@ -1,5 +1,6 @@
 """Ground-truth stepping and the biased/noisy measurement model."""
 
+import itertools
 import math
 import warnings
 
@@ -197,6 +198,38 @@ class TestBlockMeasurement:
             if with_bias:
                 alone = alone + landmark_bias
             assert y.tobytes() == alone.tobytes()
+
+
+class TestBlockNoise:
+    # The harness draws a block's noise in one call; each step must get the
+    # bits that a loop of sense on the same generator gives it.
+    @pytest.mark.parametrize("sigmas", list(itertools.product([0.0, 1.0], repeat=3)))
+    @pytest.mark.parametrize("n", [3, 24])
+    @settings(max_examples=2, deadline=None, derandomize=True, database=None)
+    @given(scale=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_a_loop_of_sense(self, sigmas, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        landmarks = rng.normal(scale=5.0, size=(n, 3))
+        bias = SensorBias(rng.normal(size=3), rng.normal(size=3), rng.normal(size=(n, 3)))
+        noise = NoiseSpec(*(scale * s for s in sigmas), seed=seed)
+        for k in (1, 2, 1024):
+            rot = np.array([so3_exp(rng.normal(size=3)).m for _ in range(k)])
+            pos = rng.normal(scale=10.0, size=(k, 3))
+            twists = [Twist(rng.normal(size=3), rng.normal(size=3)) for _ in range(k)]
+            clean = (
+                np.array([u.omega + bias.omega for u in twists]),
+                np.array([u.vel + bias.vel for u in twists]),
+                world._measure(rot, pos, landmarks, bias),
+            )
+            block = world._add_noise(clean, noise, noise.make_rng())
+            gen = noise.make_rng()
+            for i, (r, p, u) in enumerate(zip(rot, pos, twists)):
+                frame = sense(TrueState(Pose(Rotation3(r), p), landmarks), bias, noise, u, gen)
+                for got, want in zip(block, (frame.omega_m, frame.v_m, frame.y)):
+                    assert got[i].tobytes() == want.tobytes()
+            # The loop drew exactly the block's k rows of draws.
+            width = 3 * (sigmas[0] > 0) + 3 * (sigmas[1] > 0) + 3 * n * (sigmas[2] > 0)
+            assert gen.standard_normal() == noise.make_rng().standard_normal(k * width + 1)[-1]
 
 
 class TestTypes:

@@ -172,11 +172,37 @@ def reference_summary(before: list[dict], after: list[dict]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def check_args(args, metrics: dict) -> dict:
+    """Stop on a bad --workloads, --claim or --notes before the first run,
+    which a typo found after the runs would throw away; returns the notes."""
     if len(args.seeds) < 2:
         raise SystemExit("bench_pairs: quartiles need at least two seeds")
+    known = [w["name"] for w in BENCHMARK["workloads"]]
+    for workload in args.workloads:
+        if workload not in known:
+            raise SystemExit(f"bench_pairs: unknown workload {workload!r}; known: {known}")
+    for claim in args.claim:
+        workload, _, name = claim.partition(":")
+        if workload not in args.workloads or name not in metrics:
+            raise SystemExit(
+                f"bench_pairs: --claim {claim!r} is not workload:metric with a workload "
+                f"of {args.workloads} and a metric of {list(metrics)}"
+            )
+    if args.notes is None:
+        return {}
+    try:
+        notes = json.loads(args.notes.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bench_pairs: --notes {args.notes}: {exc}") from None
+    if not isinstance(notes, dict):
+        raise SystemExit(f"bench_pairs: --notes {args.notes} holds no JSON object")
+    return notes
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+    notes = check_args(args, metrics)
     parent_sha = git("rev-parse", args.parent)
     runs = {w: {"before": [], "after": []} for w in args.workloads}
     # SystemExit stops the perfbench child and removes the parent's files.
@@ -216,7 +242,7 @@ def main(argv=None) -> int:
 
     claims = {}
     for claim in args.claim:
-        workload, name = claim.split(":")
+        workload, _, name = claim.partition(":")
         claims[claim] = judge_claim(workloads[workload][name], metrics[name]["better"])
     for entry in workloads.values():
         for name in metrics:
@@ -245,8 +271,7 @@ def main(argv=None) -> int:
         "environment": environment,
         "source_lines": lines,
     }
-    if args.notes is not None:
-        out.update(json.loads(args.notes.read_text(encoding="utf-8")))
+    out.update(notes)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"bench_pairs: wrote {path.name}", file=sys.stderr)
