@@ -65,7 +65,6 @@ from .observer import (
     DivergenceError,
     GainConfig,
     ObserverState,
-    StackedGains,
     _bias_error_rows,
     _energy_raw,
     _errors_raw,
@@ -98,8 +97,8 @@ def _replaced(config: ScenarioConfig, **fields) -> ScenarioConfig:
 def _with_gain(config: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
     """config with the scalar gain name (k_p or k_w) set to value.
 
-    Only the new value is checked: the rest of the GainConfig, gamma's
-    inverse and the rows included, is the base's, already validated.
+    Only the new value is checked: the rest of the GainConfig, the rows of
+    gamma and of its inverse included, is the base's, already validated.
     """
     gains = _trusted(GainConfig, **{**vars(config.gains), name: _as_positive(value, name)})
     return _replaced(config, gains=gains)
@@ -505,15 +504,17 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     k_p and gamma_scale axes) share each block's _block_inputs; otherwise
     each has its own on a member axis. Between steps each member's pose and
     biases stay the Python floats of its float update, and only the landmark
-    estimates are one (B, n, 3) array. One _stacked_step call advances every
-    member still in the batch and drops, with that step as its aborted_step,
-    each member whose update leaves the finite range. Only the squared max_e
+    estimates are one (B, n, 3) array. One _stacked_step call, given the
+    (B, 1) k_p column and the GainConfig list of the members still in the
+    batch, advances them and drops, with that step as its aborted_step, each
+    member whose update leaves the finite range. Only the squared max_e
     column and the final landmark errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
     landmarks = base.landmarks
-    gains = StackedGains.of([c.gains for c in configs])
+    gains = [c.gains for c in configs]
+    k_p = np.array([[g.k_p] for g in gains])
     shared = len({(c.noise, c.gains.k_w, c.gains.alpha.tobytes()) for c in configs}) == 1
     # A member-step of own inputs holds about four arrays the size of its
     # y (the draws, y, W and the Gram's operand): a quarter of RECORD_CHUNK
@@ -535,7 +536,7 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
         for block, _, _, measurement in _truth(base, span):
             draws = [_add_noise(measurement, *stream) for stream in streams]
             if shared:
-                (measurement,), alpha, c = draws, gains.alpha[0], dt * gains.k_w[0]
+                (measurement,), alpha, c = draws, gains[0].alpha, dt * gains[0].k_w
             else:
                 # Each member's measurement on axis 1, after the step axis.
                 shape = (len(block), alive.size)
@@ -543,7 +544,8 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
                     np.broadcast_to(np.stack(parts, axis=1), shape + parts[0].shape[1:])
                     for parts in zip(*draws)
                 ]
-                alpha, c = gains.alpha, dt * np.array(gains.k_w)
+                alpha = np.stack([g.alpha for g in gains])
+                c = dt * np.array([g.k_w for g in gains])
             # The block's members still alive, once one has dropped in it.
             live = None
             for k, y, omega_m, v_m, w, terms in zip(
@@ -566,13 +568,13 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
                     break
                 (members, landmarks_hat), failed = _stacked_step(
                     (members, landmarks_hat), r_hat, (omega_m, v_m, w, terms), e, e_squared,
-                    gains, dt,
+                    k_p, gains, dt,
                 )
                 if failed.any():
                     for i in alive[failed]:
                         aborted[i] = k
                     keep = ~failed
-                    alive, gains = alive[keep], gains.take(keep)
+                    alive, k_p, gains = alive[keep], k_p[keep], list(compress(gains, keep))
                     if not alive.size:
                         break
                     if not shared:

@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,14 +119,14 @@ class ObserverState:
 
 @dataclass(frozen=True)
 class GainConfig:
-    """Observer gains: all strictly positive, the matrix gain SPD. gamma_inv
-    and the rows of gamma and gamma_inv as Python floats are derived once."""
+    """Observer gains: all strictly positive, the matrix gain SPD. The rows
+    of gamma (for the step) and of its inverse (for the energy) are derived
+    once, as Python floats."""
 
     k_p: float
     k_w: float
     gamma: np.ndarray
     alpha: np.ndarray
-    gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
     gamma_rows: tuple = field(init=False, repr=False, compare=False)
     gamma_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -160,7 +159,6 @@ class GainConfig:
         g_inv = np.linalg.inv(g)
         if not np.isfinite(g_inv).all():
             raise ValueError("gamma must have a finite inverse")
-        object.__setattr__(self, "gamma_inv", g_inv)
         object.__setattr__(self, "gamma_rows", tuple(map(tuple, g.tolist())))
         object.__setattr__(self, "gamma_inv_rows", tuple(map(tuple, g_inv.tolist())))
 
@@ -173,39 +171,6 @@ def _check_gain_count(gains: GainConfig, count: int) -> None:
     """ValueError unless gains carry one alpha value per landmark."""
     if gains.count != count:
         raise ValueError(f"gains carry {gains.count} alpha values for {count} landmarks")
-
-
-class StackedGains(NamedTuple):
-    """The GainConfigs of B members, as _stacked_step reads them.
-
-    k_p is a (B, 1) column and alpha (B, n), which broadcast over the
-    landmark axis; k_w holds each member's Python float and gamma its rows
-    of Python floats, for the float update.
-    """
-
-    k_p: np.ndarray
-    alpha: np.ndarray
-    k_w: list[float]
-    gamma: list[tuple]
-
-    @staticmethod
-    def of(gains: list[GainConfig]) -> "StackedGains":
-        return StackedGains(
-            np.array([[g.k_p] for g in gains]),
-            np.stack([g.alpha for g in gains]),
-            [g.k_w for g in gains],
-            [g.gamma_rows for g in gains],
-        )
-
-    def take(self, keep: np.ndarray) -> "StackedGains":
-        """The gains of the members selected by keep."""
-        kept = np.flatnonzero(keep).tolist()
-        return StackedGains(
-            self.k_p[keep],
-            self.alpha[keep],
-            [self.k_w[i] for i in kept],
-            [self.gamma[i] for i in kept],
-        )
 
 
 @dataclass(frozen=True)
@@ -249,6 +214,7 @@ def adaptation_gain(e, k_p: float) -> float | np.ndarray:
     e is one error, giving one gain, or an (n, 3) array of errors, giving
     one gain per row.
     """
+    k_p = _as_positive(k_p, "k_p")
     a = np.asarray(e, dtype=float)
     return _gain_of_squares((a * a).sum(axis=-1), k_p)
 
@@ -442,13 +408,14 @@ def observer_step(
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
-def _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains, dt: float) -> tuple:
+def _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt: float) -> tuple:
     """A step's landmark-axis part, for one observer or a stack: G and the
     new landmarks landmarks_hat - dt psi(e_i) e_i, with e_squared the
-    squared norms ||e_i||^2."""
+    squared norms ||e_i||^2. k_p is one observer's float, or a stack's
+    (B, 1) column, which broadcasts over the landmark axis."""
     return (
         _error_moments(w, e, r_hat),
-        landmarks_hat - (dt * _gain_of_squares(e_squared, gains.k_p))[..., None] * e,
+        landmarks_hat - (dt * _gain_of_squares(e_squared, k_p))[..., None] * e,
     )
 
 
@@ -468,17 +435,17 @@ def _step_raw(estimate: tuple, inputs: tuple, e: np.ndarray, gains: GainConfig, 
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
     omega_m, v_m, w, terms = inputs
-    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, (e * e).sum(axis=-1), gains, dt)
+    e_squared = (e * e).sum(axis=-1)
+    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains.k_p, dt)
     r_new, p_new, b_omega_new, b_v_new = _member_update(
-        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat,
-        omega_m, v_m, g.tolist(), terms, gains.k_w, gains.gamma_rows, dt,
+        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat, omega_m, v_m, g.tolist(), terms, gains, dt
     )
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
     return np.array(r_new), p_new, landmarks_new, b_omega_new, b_v_new
 
 
-def _stacked_step(stack, r_hat, inputs, e, e_squared, gains: StackedGains, dt):
+def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfig], dt):
     """_step_raw for B members stacked on a leading axis.
 
     stack is (members, landmarks_hat): each member's (r_hat rows, p_hat,
@@ -486,19 +453,20 @@ def _stacked_step(stack, r_hat, inputs, e, e_squared, gains: StackedGains, dt):
     and returns, and every member's landmarks_hat in one (B, n, 3) array.
     r_hat holds the members' rotations as one (B, 3, 3) array, e their
     landmark errors and e_squared the errors' squared norms. inputs is as
-    in _step_raw, with omega_m, v_m and terms iterables over the members.
-    The landmark-axis formulas run once over the stack, then each member's
-    own _member_update, so a member gets the bits of its one-member step.
+    in _step_raw, with omega_m, v_m and terms iterables over the members,
+    k_p their (B, 1) column of k_p and gains their GainConfigs. The
+    landmark-axis formulas run once over the stack, then each member's own
+    _member_update, so a member gets the bits of its one-member step.
     Returns (the new stack of the members that stayed finite, the mask of
     those that did not); a member's failure never raises.
     """
     members, landmarks_hat = stack
     omega_m, v_m, w, terms = inputs
-    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains, dt)
+    g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt)
     finite = np.isfinite(landmarks_new).all(axis=(1, 2))
     updates = []
     for i, (rows, *member_inputs) in enumerate(
-        zip(members, omega_m, v_m, g.tolist(), terms, gains.k_w, gains.gamma)
+        zip(members, omega_m, v_m, g.tolist(), terms, gains)
     ):
         try:
             updates.append(_member_update(*rows, *member_inputs, dt))
@@ -517,17 +485,19 @@ def _diverged(exc: ArithmeticError | ValueError) -> DivergenceError:
     return DivergenceError(f"observer update failed ({exc}); reduce dt or the gains")
 
 
-def _member_update(r, p, b_omega, b_v, omega_m, v_m, g, terms, k_w, gamma, dt) -> tuple:
+def _member_update(r, p, b_omega, b_v, omega_m, v_m, g, terms, gains: GainConfig, dt) -> tuple:
     """The pose and bias part of one member's step, on Python floats.
 
-    The estimate and measurement arrive as Python floats (r and gamma as
-    rows), with g and terms as _feedback_apply takes them; returns the new
-    rotation rows, position and biases. Raises DivergenceError when the
-    corrected twist or the new state is not finite, or when the float
-    arithmetic raises where numpy would return inf or NaN.
+    The estimate and measurement arrive as Python floats (r as rows), with
+    g and terms as _feedback_apply takes them, and the member's own gains,
+    of which it reads k_w and gamma_rows; returns the new rotation rows,
+    position and biases. Raises DivergenceError when the corrected twist or
+    the new state is not finite, or when the float arithmetic raises where
+    numpy would return inf or NaN.
     """
     bo0, bo1, bo2 = b_omega
     bv0, bv1, bv2 = b_v
+    k_w = gains.k_w
     try:
         (s0, s1, s2), (u0, u1, u2) = _feedback_apply(terms, g)
         # The innovation term -k_w s is subtracted from the measured velocity.
@@ -544,7 +514,7 @@ def _member_update(r, p, b_omega, b_v, omega_m, v_m, g, terms, k_w, gamma, dt) -
         r_new, p_new = _advance(r, p, *_exp_floats((w0, w1, w2), (x0, x1, x2)))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise _diverged(exc) from exc
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gamma
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gains.gamma_rows
     b_omega_new = (
         bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),
         bo1 - dt * (g10 * s0 + g11 * s1 + g12 * s2),

@@ -200,6 +200,12 @@ class TestRun:
         assert code == 1
         assert "error: could not write" in capsys.readouterr().err
 
+    def test_csv_path_is_a_directory_exits_one(self, scenario_file, tmp_path, capsys):
+        (tmp_path / "out" / "cli-case.csv").mkdir(parents=True)
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: could not write" in capsys.readouterr().err
+
     def test_unusable_out_fails_before_the_run(self, scenario_file, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("run started although --out cannot be created")

@@ -77,6 +77,10 @@ class TestHatVee:
         with pytest.raises(ValueError, match="antisymmetric"):
             vee3(m)
 
+    def test_vee_rejects_non_3x3(self):
+        with pytest.raises(ValueError, match=r"skew matrix must be 3x3, got shape \(2, 2\)"):
+            vee3(np.zeros((2, 2)))
+
     def test_hat_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             hat3([np.nan, 0.0, 0.0])
@@ -232,6 +236,18 @@ class TestProjectOrthonormal:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             project_orthonormal(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.eye(4), r"matrix must be 3x3, got shape \(4, 4\)"),
+            (np.diag([1.0, np.nan, 1.0]), "matrix must be finite"),
+        ],
+        ids=["4x4", "nan"],
+    )
+    def test_rejects_non_3x3_or_nonfinite(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            project_orthonormal(m)
 
     def test_corrects_reflection(self):
         r = project_orthonormal(np.diag([1.0, 1.0, -1.0]))

@@ -85,6 +85,12 @@ class TestLandmarkError:
             landmark_errors(ObserverState.cold_start(4), frame_from(np.zeros((3, 3))))
 
 
+BAD_K_P = {
+    "inf": math.inf, "nan": math.nan, "0.0": 0.0, "-1.0": -1.0,
+    "10**400": 10**400, "10**5000": 10**5000,
+}
+
+
 class TestErrorGeometry:
     def test_zero_error_floor(self):
         geo = error_geometry(np.zeros(3), k_p=1.0)
@@ -97,16 +103,17 @@ class TestErrorGeometry:
         assert error_geometry(np.zeros(3), k_p=3.0).psi == 0.75
 
     @pytest.mark.parametrize(
-        "k_p",
+        "gain, k_p",
         [
-            math.inf, math.nan, 0.0, -1.0,
-            pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+            pytest.param(gain, k_p, id=f"{prefix}{name}")
+            for gain, prefix in ((error_geometry, ""), (adaptation_gain, "adaptation_gain-"))
+            for name, k_p in BAD_K_P.items()
         ],
     )
-    def test_rejects_bad_k_p(self, k_p):
+    def test_rejects_bad_k_p(self, gain, k_p):
         # inf would give psi = inf.
         with pytest.raises(ValueError, match="k_p must be positive and finite"):
-            error_geometry(np.array([1.0, 0.0, 0.0]), k_p)
+            gain(np.array([1.0, 0.0, 0.0]), k_p)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_error(self, bad):
@@ -404,6 +411,16 @@ class TestObserverStep:
         with pytest.raises(DivergenceError):
             observer_step(state, frame, reference_gains(), 0.001)
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_position_overflow_raises_divergence_error(self, scheme):
+        # e = 0, so the twist is v_m alone and finite; P_hat + v_m dt is not.
+        y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        p_hat = np.array([1.7e308, 0.0, 0.0])
+        state = ObserverState(Rotation3.identity(), p_hat, y + p_hat, np.zeros(3), np.zeros(3))
+        frame = frame_from(y, v_m=(1e308, 0.0, 0.0))
+        with pytest.raises(DivergenceError, match="observer state overflowed"):
+            observer_step(state, frame, reference_gains(), 1.0, scheme)
+
 
 def _stack_members(rng):
     """Three members for one stacked step, each with its own gains.
@@ -444,7 +461,8 @@ def _inputs(measurement, gains, dt, implicit):
 
 def _run_stack(estimates, measurement, e, gains, dt, implicit):
     """observer._stacked_step on per-member estimates laid out as
-    ObserverState.arrays(), with a stacked or shared measurement.
+    ObserverState.arrays(), with a stacked or shared measurement, the
+    members' k_p column and their GainConfigs.
 
     The stack holds each member's pose and biases as Python-float rows and
     every member's landmarks in one array, as the sweep keeps them; W comes
@@ -456,6 +474,7 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
     stack = members, np.stack([estimate[2] for estimate in estimates])
     r_hat = np.stack([estimate[0] for estimate in estimates])
     omega_m, v_m, y = measurement
+    gains = list(gains)
     w, gram = observer._weights(y, np.stack([g.alpha for g in gains]))
     terms = [
         observer._solve_terms(m.tolist(), dt * g.k_w) if implicit else None
@@ -464,8 +483,9 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
     if omega_m.ndim == 1:
         omega_m, v_m = [omega_m] * len(gains), [v_m] * len(gains)
     inputs = [a.tolist() for a in omega_m], [a.tolist() for a in v_m], w, terms
+    k_p = np.array([[g.k_p] for g in gains])
     (members, landmarks_hat), failed = observer._stacked_step(
-        stack, r_hat, inputs, e, (e * e).sum(axis=-1), observer.StackedGains.of(list(gains)), dt
+        stack, r_hat, inputs, e, (e * e).sum(axis=-1), k_p, gains, dt
     )
     assert len(members) == len(landmarks_hat) == (~failed).sum()
     return [
@@ -889,7 +909,7 @@ class TestGainConfig:
     def test_scalar_gamma_broadcast(self):
         gains = reference_gains()
         assert (gains.gamma == 30.0 * np.eye(3)).all()
-        assert (gains.gamma_inv == np.linalg.inv(30.0 * np.eye(3))).all()
+        assert (np.array(gains.gamma_inv_rows) == np.linalg.inv(30.0 * np.eye(3))).all()
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="k_w"):
@@ -913,7 +933,7 @@ class TestGainConfig:
     def test_spd_gamma_accepted(self):
         g = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
         gains = GainConfig(k_p=1.0, k_w=1.0, gamma=g, alpha=np.full(3, 0.5))
-        assert np.allclose(gains.gamma_inv @ g, np.eye(3), atol=1e-12)
+        assert np.allclose(np.array(gains.gamma_inv_rows) @ g, np.eye(3), atol=1e-12)
 
 
 class TestObserverState:
@@ -946,6 +966,10 @@ def _state(**fields) -> ObserverState:
     )
 
 
+def _gains(**fields) -> GainConfig:
+    return GainConfig(**{"k_p": 1.0, "k_w": 1.0, "gamma": 1.0, "alpha": np.ones(3), **fields})
+
+
 def _frame(**fields) -> SensorFrame:
     return SensorFrame(
         **{"omega_m": np.zeros(3), "v_m": np.zeros(3), "y": np.ones((3, 3)), "t": 0.0, **fields}
@@ -972,11 +996,13 @@ FIELD_CASES = [
     (_frame, "omega_m", NAN3, "finite"),
     (_frame, "v_m", np.array([0.0, 0.0, -np.inf]), "finite"),
     (_frame, "y", INF_ROWS, "finite"),
+    (_gains, "gamma", np.eye(2), "a scalar or 3x3 matrix"),
 ]
 
 
 class TestFieldRules:
-    """Every 3-vector field takes exactly shape (3,), every value is finite."""
+    """Every 3-vector field takes exactly shape (3,), every value is finite,
+    and the matrix gain is a scalar or 3x3."""
 
     @pytest.mark.parametrize(
         "build, field, value, rule",

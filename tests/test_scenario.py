@@ -170,6 +170,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="alpha values"):
             scenario_from_dict(data)
 
+    def test_estimate_count_mismatch(self):
+        data = dict(MINIMAL, landmarks=MINIMAL["landmarks"] + [[1.0, 1.0, 1.0]])
+        data["initial_estimates"] = {"landmarks": [[0.0, 0.0, 0.0]] * 3}
+        with pytest.raises(ScenarioError, match="estimates carry 3 landmarks, scenario has 4"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], 3, None])
+    def test_non_mapping_scenario(self, data):
+        with pytest.raises(ScenarioError, match="scenario must be a mapping"):
+            scenario_from_dict(data)
+
     def test_negative_duration(self):
         data = dict(MINIMAL, duration=-1.0)
         with pytest.raises(ScenarioError, match="duration"):
@@ -275,6 +286,13 @@ class TestValidation:
         del data["twist"]
         data["twist_schedule"] = [[3]]
         with pytest.raises(ScenarioError, match=r"twist_schedule\[0\] must be a mapping"):
+            scenario_from_dict(data)
+
+    def test_knot_without_time(self):
+        data = dict(MINIMAL)
+        del data["twist"]
+        data["twist_schedule"] = [{"omega": [0, 0, 0], "vel": [0, 0, 0]}]
+        with pytest.raises(ScenarioError, match=r"twist_schedule\[0\] needs a start time 't'"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize(
