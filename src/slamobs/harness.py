@@ -14,9 +14,9 @@ measurements computed once per twist knot, and its landmarks are measured
 one block of at most RECORD_CHUNK steps at a time in one product
 (world._measure, which sense calls with one pose). Each block's noise is
 one draw, sliced in sense's order (world._add_noise, which sense calls for
-one step), and the estimate-free part of each step (the velocities as
-Python floats, W and the implicit solve's terms) is computed once per block
-(_block_inputs), so a loop of observer_step, sense and true_step still
+one step), and the estimate-free part of each step (W and a row of the
+velocities and the implicit solve's terms) is computed once per block
+(observer._step_inputs), so a loop of observer_step, sense and true_step still
 reproduces trajectory bit for bit. trajectory wraps every step into a
 StepSnapshot. run copies each recorded step's values into buffers of
 RECORD_CHUNK records and computes every metric column of a full buffer at
@@ -29,7 +29,7 @@ ScenarioConfig.
 sweep advances the members that share dt (on every axis but dt, all of
 them) together in one loop (_sweep_group), over one truth and its
 measurement blocks and, on the k_p and gamma_scale axes, one measurement
-stream and one set of block inputs. Between
+stream and one set of step inputs. Between
 steps each member's pose and biases stay the Python floats of its float
 update and the landmark estimates one array stacked on a leading member
 axis; each step is one _stacked_step. A diverging member drops out at that
@@ -69,10 +69,9 @@ from .observer import (
     _energy_raw,
     _errors_raw,
     _pose_error_rows,
-    _solve_terms,
     _stacked_step,
+    _step_inputs,
     _step_raw,
-    _weights,
 )
 from .scenario import ScenarioConfig
 from .world import SensorFrame, TrueState, _add_noise, _measure
@@ -194,17 +193,6 @@ def _truth(config: ScenarioConfig, span: int):
         yield block, rots, positions, (velocities[:, 0], velocities[:, 1], y)
 
 
-def _block_inputs(measurement: tuple, alpha: np.ndarray, c) -> tuple:
-    """The (omega_m, v_m, w, terms) of _step_raw for a block's steps, step
-    first, from its noisy measurement and the alpha and c = dt k_w that
-    broadcast against it; terms are computed on columns, as _weights is."""
-    omega_m, v_m, y = measurement
-    w, gram = _weights(y, alpha)
-    terms = _solve_terms(np.moveaxis(gram, (-2, -1), (0, 1)), c)
-    rows = np.stack(np.broadcast_arrays(*terms), axis=-1).tolist()
-    return omega_m.tolist(), v_m.tolist(), w, rows
-
-
 def _steps(config: ScenarioConfig):
     """The co-simulation loop, for k = 0 .. step_count.
 
@@ -226,9 +214,9 @@ def _steps(config: ScenarioConfig):
     with np.errstate(all="ignore"):
         for block, rots, positions, measurement in _truth(config, RECORD_CHUNK):
             measurement = _add_noise(measurement, noise, rng)
-            for k, rot, pos, frame, inputs in zip(
+            for k, rot, pos, frame, w, u in zip(
                 block, rots, positions, zip(*measurement),
-                zip(*_block_inputs(measurement, gains.alpha, dt * gains.k_w)),
+                *_step_inputs(measurement, gains.alpha, dt * gains.k_w),
             ):
                 r_hat, p, landmarks_hat, b_omega, b_v = estimate
                 p_hat = np.array(p)
@@ -237,7 +225,7 @@ def _steps(config: ScenarioConfig):
                 if k == steps:
                     break
                 try:
-                    estimate = _step_raw(estimate, inputs, e, gains, dt)
+                    estimate = _step_raw(estimate, (w, u.tolist()), e, gains, dt)
                 except DivergenceError as exc:
                     raise DivergenceError(
                         f"observer diverged at step {k} (t = {k * dt:.6g} s): {exc}", step=k
@@ -415,12 +403,11 @@ def settling_time(
 ) -> float | None:
     """First time max_e stays below threshold for a full hold window.
 
-    Returns None when no window that fits inside the run qualifies.
+    Returns None when no window that fits inside the run qualifies; a NaN
+    max_e is not below threshold. ValueError unless t and max_e are 1-D of
+    one shape and t is finite.
     """
-    t = np.asarray(t, dtype=float)
-    max_e = np.asarray(max_e, dtype=float)
-    if t.shape != max_e.shape:
-        raise ValueError(f"t and max_e differ in shape: {t.shape} and {max_e.shape}")
+    t, max_e = _series(t, max_e, "max_e")
     below = max_e < threshold
     start = None
     for i in range(len(t)):
@@ -434,14 +421,26 @@ def settling_time(
     return None
 
 
+def _series(t, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """t and values as 1-D float arrays of one shape with t finite, or ValueError."""
+    t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != values.shape:
+        raise ValueError(f"t and {name} must be 1-D of one shape: {t.shape}, {values.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
+    return t, values
+
+
 def fit_exponential_decay(t, values) -> tuple[float, float]:
     """Least-squares exponential fit values ~ A exp(-rate t).
 
     Returns (rate, r_squared) from a linear regression on the log of the
-    positive samples; rate > 0 means decay.
+    positive samples; rate > 0 means decay. ValueError unless t and values
+    are finite 1-D arrays of one shape.
     """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(values, dtype=float)
+    t, v = _series(t, values, "values")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     mask = v > 0.0
     if mask.sum() < 2:
         raise ValueError("need at least two positive samples to fit a decay rate")
@@ -481,8 +480,13 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"values must be a sequence of numbers, got {values!r}")
     values = [float(v) for v in values]
-    configs = [SWEEP_AXES[axis](base, v) for v in values]
+    # GainConfig's finite checks, not a numpy warning, reject a scaled gain
+    # that overflows or is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        configs = [SWEEP_AXES[axis](base, v) for v in values]
     groups: dict[float, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.dt, []).append(i)
@@ -501,9 +505,10 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     noise-free measurements are computed once, by _truth, as for one run.
     Members with equal noise share one measurement stream; otherwise each
     draws from its own generator. Members that also share alpha and k_w (the
-    k_p and gamma_scale axes) share each block's _block_inputs; otherwise
-    each has its own on a member axis. Between steps each member's pose and
-    biases stay the Python floats of its float update, and only the landmark
+    k_p and gamma_scale axes) share each block's _step_inputs; otherwise each
+    has its own on a member axis, which a member that drops is sliced out of
+    for the rest of the block. Between steps each member's pose and biases
+    stay the Python floats of its float update, and only the landmark
     estimates are one (B, n, 3) array. One _stacked_step call, given the
     (B, 1) k_p column and the GainConfig list of the members still in the
     batch, advances them and drops, with that step as its aborted_step, each
@@ -546,29 +551,22 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
                 ]
                 alpha = np.stack([g.alpha for g in gains])
                 c = dt * np.array([g.k_w for g in gains])
-            # The block's members still alive, once one has dropped in it.
-            live = None
-            for k, y, omega_m, v_m, w, terms in zip(
-                block, measurement[2], *_block_inputs(measurement, alpha, c)
-            ):
-                if shared:
-                    omega_m, v_m, terms = repeat(omega_m), repeat(v_m), repeat(terms)
-                elif live is not None:
-                    y, w = y[live], w[live]
-                    omega_m, v_m, terms = ([x[i] for i in live] for x in (omega_m, v_m, terms))
+            y = measurement[2]
+            w, u = _step_inputs(measurement, alpha, c)
+            for j, k in enumerate(block):
                 # fromiter over the flat floats takes half the time of
                 # np.array over the nested rows.
                 r_rows, p_rows, *_ = zip(*members)
                 r_hat = np.fromiter(flat(flat(r_rows)), float, 9 * alive.size).reshape(-1, 3, 3)
                 p_hat = np.fromiter(flat(p_rows), float, 3 * alive.size).reshape(-1, 3)
-                e = _errors_raw(r_hat, p_hat, landmarks_hat, y)
+                e = _errors_raw(r_hat, p_hat, landmarks_hat, y[j])
                 e_squared = (e * e).sum(axis=-1)
                 max_e_squared[k, alive] = e_squared.max(axis=-1)
                 if k == steps:
                     break
+                rows = repeat(u[j].tolist()) if shared else u[j].tolist()
                 (members, landmarks_hat), failed = _stacked_step(
-                    (members, landmarks_hat), r_hat, (omega_m, v_m, w, terms), e, e_squared,
-                    k_p, gains, dt,
+                    (members, landmarks_hat), r_hat, (w[j], rows), e, e_squared, k_p, gains, dt
                 )
                 if failed.any():
                     for i in alive[failed]:
@@ -579,7 +577,7 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
                         break
                     if not shared:
                         streams = list(compress(streams, keep)) if len(noises) > 1 else streams
-                        live = np.flatnonzero(keep) if live is None else live[keep]
+                        y, w, u = y[:, keep], w[:, keep], u[:, keep]
             if not alive.size:
                 break
     t = np.arange(steps + 1) * dt

@@ -26,21 +26,21 @@ re-projected onto the orthonormal manifold after every update.
 
 The step splits first by what depends on the estimate. The alpha-weighted rows
 W of y, their Gram (_weights) and the part of the implicit solve that these
-fix (_solve_terms) depend only on y, alpha and dt k_w: observer_step computes
-them on Python floats, the harness once per block of steps on (K,) columns,
-with the same bits. Of the rest, each formula over the landmark axis (the
-errors, the adaptation gains and landmark update, and the innovation moments
-G = W (e R_hat)) is one broadcasting numpy function, shared by one observer
-(_step_raw) and by observers stacked on a leading member axis (_stacked_step).
-The 3-vector and 3x3 algebra (the solve's application to G, the corrected
-twist, the exponential, the projection, the position and bias updates) runs on
-Python floats, one observer at a time (_member_update). One observer's step
-(_step_raw, which observer_step and the harness loop call) takes and returns
-P_hat and the biases as those floats and R_hat as the array that the
-landmark-axis formulas take; a stack keeps each member's pose and biases as
-those floats between steps and loops over its members, so a stacked member
-runs its solo step's code, and a member whose update leaves the finite range
-drops out of the stack alone.
+fix (_solve_terms) depend only on y, alpha and dt k_w: _step_inputs computes
+W and one float64 row per step of the velocities and the solve's terms, for
+observer_step's one frame or a harness block. Of the rest, each formula over
+the landmark axis (the errors, the adaptation gains and landmark update, and
+the innovation moments G = W (e R_hat)) is one broadcasting numpy function,
+shared by one observer (_step_raw) and by observers stacked on a leading
+member axis (_stacked_step). The 3-vector and 3x3 algebra (the solve's
+application to G, the corrected twist, the exponential, the projection, the
+position and bias updates) runs on Python floats, one observer at a time
+(_member_update). One observer's step (_step_raw, which observer_step and the
+harness loop call) takes and returns P_hat and the biases as those floats and
+R_hat as the array that the landmark-axis formulas take; a stack keeps each
+member's pose and biases as those floats between steps and loops over its
+members, so a stacked member runs its solo step's code, and a member whose
+update leaves the finite range drops out of the stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -296,7 +296,7 @@ def correction_terms(
     e = landmark_errors(state, frame)
     _check_gain_count(gains, state.count)
     w, _ = _weights(frame.y, gains.alpha)
-    s_omega, s_v = _feedback_apply(None, _error_moments(w, e, state.r_hat.m).tolist())
+    s_omega, s_v = _feedback_apply((), _error_moments(w, e, state.r_hat.m).tolist())
     return -gains.k_w * np.array(s_omega), -gains.k_w * np.array(s_v)
 
 
@@ -316,10 +316,8 @@ def _solve_terms(gram, c) -> tuple:
     R_hat^T e_i + c A_i s_bar, that is, of the errors after the feedback
     alone with the y_i held fixed.
 
-    gram holds the Gram's rows of Python floats or of (K,) columns, which c
-    broadcasts against: the arithmetic is elementwise, with the same bits
-    either way, except that a zero determinant raises ZeroDivisionError on
-    floats and gives inf on columns. Returns (c, d, f, m0, m1, m2, the
+    gram holds the Gram's rows of columns over a block's steps (and members),
+    which c broadcasts against. Returns the columns (c, d, f, m0, m1, m2, the
     adjugate entries c00, c01, c02, c11, c12, c22 of K, 1 / det K).
     """
     (a00, a01, a02, m0), (_, a11, a12, m1), (_, _, a22, m2), (_, _, _, inv_alpha_sum) = gram
@@ -342,20 +340,32 @@ def _solve_terms(gram, c) -> tuple:
     return c, d, c / d, m0, m1, m2, c00, c01, c02, c11, c12, c22, inv_det
 
 
-def _feedback_apply(terms, g) -> tuple[tuple, tuple]:
-    """The innovation sums (s_omega, s_v) fed back into the step, as two
-    3-tuples of Python floats, from the entries g of _error_moments.
+def _step_inputs(measurement: tuple, alpha: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
+    """W of _weights and the float64 rows u of a block's (omega_m, v_m, y),
+    step first, then members where they have their own, with the alpha and
+    c = dt k_w that broadcast against them: a row is the 3 + 3 measured
+    velocities, then the 13 _solve_terms."""
+    omega_m, v_m, y = measurement
+    w, gram = _weights(y, alpha)
+    terms = _solve_terms(np.moveaxis(gram, (-2, -1), (0, 1)), c)
+    return w, np.concatenate((omega_m, v_m, np.stack(np.broadcast_arrays(*terms), -1)), -1)
 
-    The explicit scheme (terms None) feeds back s_omega = sum_i y_i x u_i,
-    the antisymmetric part of G: (G12 - G21, G20 - G02, G01 - G10), and
-    s_v = sum_i u_i; the implicit one s_bar, solved with the step's
-    _solve_terms.
+
+def _feedback_apply(row, g) -> tuple[tuple, tuple]:
+    """The innovation sums (s_omega, s_v) fed back into the step, as two
+    3-tuples of Python floats, from the step's row of _step_inputs and the
+    entries g of _error_moments.
+
+    The explicit scheme (a row without solve terms) feeds back s_omega =
+    sum_i y_i x u_i, the antisymmetric part of G: (G12 - G21, G20 - G02,
+    G01 - G10), and s_v = sum_i u_i; the implicit one s_bar, solved with the
+    row's 13 _solve_terms.
     """
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22), (v0, v1, v2) = g
     w0, w1, w2 = g12 - g21, g20 - g02, g01 - g10
-    if terms is None:
+    if len(row) <= 6:
         return (w0, w1, w2), (v0, v1, v2)
-    c, d, f, m0, m1, m2, c00, c01, c02, c11, c12, c22, inv_det = terms
+    _, _, _, _, _, _, c, d, f, m0, m1, m2, c00, c01, c02, c11, c12, c22, inv_det = row
     r0 = w0 - f * (m1 * v2 - m2 * v1)
     r1 = w1 - f * (m2 * v0 - m0 * v2)
     r2 = w2 - f * (m0 * v1 - m1 * v0)
@@ -396,15 +406,12 @@ def observer_step(
     _check_gain_count(gains, state.count)
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
     estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         e = landmark_errors(state, frame)
-        w, gram = _weights(frame.y, gains.alpha)
-        try:
-            terms = _solve_terms(gram.tolist(), dt * gains.k_w) if scheme == "implicit" else None
-        except ZeroDivisionError as exc:
-            raise _diverged(exc) from exc
-        inputs = (frame.omega_m.tolist(), frame.v_m.tolist(), w, terms)
-        r_new, *rest = _step_raw(estimate, inputs, e, gains, dt)
+        measurement = (frame.omega_m[None], frame.v_m[None], frame.y[None])
+        w, u = _step_inputs(measurement, gains.alpha, dt * gains.k_w)
+        row = u[0].tolist() if scheme == "implicit" else u[0, :6].tolist()
+        r_new, *rest = _step_raw(estimate, (w[0], row), e, gains, dt)
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
@@ -426,19 +433,19 @@ def _step_raw(estimate: tuple, inputs: tuple, e: np.ndarray, gains: GainConfig, 
     R_hat and the landmark estimates as the arrays that the landmark-axis
     formulas take, and P_hat and the biases as the three Python floats each
     that _member_update takes and returns; the result is the estimate after
-    the step in the same layout. inputs is (omega_m, v_m, w, terms): the
-    measured velocities as Python floats, W, and the implicit scheme's
-    _solve_terms or None. Inputs are not validated, and the caller holds
+    the step in the same layout. inputs is (w, row): W and the step's row
+    of _step_inputs as a list of Python floats, its first six entries alone
+    for the explicit scheme. Inputs are not validated, and the caller holds
     np.errstate so that an overflow surfaces as a DivergenceError, not as a
     warning. The pose and bias update runs on Python floats, where numpy's
     call overhead would cost more than its 3-vector and 3x3 arithmetic.
     """
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
-    omega_m, v_m, w, terms = inputs
+    w, row = inputs
     e_squared = (e * e).sum(axis=-1)
     g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains.k_p, dt)
     r_new, p_new, b_omega_new, b_v_new = _member_update(
-        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat, omega_m, v_m, g.tolist(), terms, gains, dt
+        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat, row, g.tolist(), gains, dt
     )
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
@@ -452,68 +459,62 @@ def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfi
     b_omega_hat, b_v_hat) as the Python floats that _member_update takes
     and returns, and every member's landmarks_hat in one (B, n, 3) array.
     r_hat holds the members' rotations as one (B, 3, 3) array, e their
-    landmark errors and e_squared the errors' squared norms. inputs is as
-    in _step_raw, with omega_m, v_m and terms iterables over the members,
-    k_p their (B, 1) column of k_p and gains their GainConfigs. The
-    landmark-axis formulas run once over the stack, then each member's own
-    _member_update, so a member gets the bits of its one-member step.
+    landmark errors and e_squared the errors' squared norms. inputs is
+    (w, rows): W, shared or on the member axis, and the members' rows as in
+    _step_raw; k_p is their (B, 1) column of k_p and gains their
+    GainConfigs. The landmark-axis formulas run once over the stack, then
+    each member's own _member_update, so a member gets the bits of its
+    one-member step.
     Returns (the new stack of the members that stayed finite, the mask of
     those that did not); a member's failure never raises.
     """
     members, landmarks_hat = stack
-    omega_m, v_m, w, terms = inputs
+    w, rows = inputs
     g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt)
     finite = np.isfinite(landmarks_new).all(axis=(1, 2))
     updates = []
-    for i, (rows, *member_inputs) in enumerate(
-        zip(members, omega_m, v_m, g.tolist(), terms, gains)
-    ):
+    for i, (member, *member_inputs) in enumerate(zip(members, rows, g.tolist(), gains)):
         try:
-            updates.append(_member_update(*rows, *member_inputs, dt))
+            updates.append(_member_update(*member, *member_inputs, dt))
         except DivergenceError:
             finite[i] = False
-            # The member's old rows hold its place; the mask drops them.
-            updates.append(rows)
+            # The member's old values hold its place; the mask drops them.
+            updates.append(member)
     # Most steps have nothing to drop.
     if not finite.all():
         updates, landmarks_new = list(compress(updates, finite)), landmarks_new[finite]
     return (updates, landmarks_new), ~finite
 
 
-def _diverged(exc: ArithmeticError | ValueError) -> DivergenceError:
-    """The DivergenceError of a float exception in the update."""
-    return DivergenceError(f"observer update failed ({exc}); reduce dt or the gains")
-
-
-def _member_update(r, p, b_omega, b_v, omega_m, v_m, g, terms, gains: GainConfig, dt) -> tuple:
+def _member_update(r, p, b_omega, b_v, row, g, gains: GainConfig, dt) -> tuple:
     """The pose and bias part of one member's step, on Python floats.
 
-    The estimate and measurement arrive as Python floats (r as rows), with
-    g and terms as _feedback_apply takes them, and the member's own gains,
-    of which it reads k_w and gamma_rows; returns the new rotation rows,
-    position and biases. Raises DivergenceError when the corrected twist or
-    the new state is not finite, or when the float arithmetic raises where
-    numpy would return inf or NaN.
+    The estimate arrives as Python floats (r as rows), row as in _step_raw,
+    g as _feedback_apply takes it, and the member's own gains, of which it
+    reads k_w and gamma_rows; returns the new rotation rows, position and
+    biases. Raises DivergenceError when the corrected twist or the new state
+    is not finite, or when the float arithmetic raises where numpy would
+    return inf or NaN.
     """
     bo0, bo1, bo2 = b_omega
     bv0, bv1, bv2 = b_v
     k_w = gains.k_w
     try:
-        (s0, s1, s2), (u0, u1, u2) = _feedback_apply(terms, g)
+        (s0, s1, s2), (u0, u1, u2) = _feedback_apply(row, g)
         # The innovation term -k_w s is subtracted from the measured velocity.
-        w0 = (omega_m[0] - bo0 + k_w * s0) * dt
-        w1 = (omega_m[1] - bo1 + k_w * s1) * dt
-        w2 = (omega_m[2] - bo2 + k_w * s2) * dt
-        x0 = (v_m[0] - bv0 + k_w * u0) * dt
-        x1 = (v_m[1] - bv1 + k_w * u1) * dt
-        x2 = (v_m[2] - bv2 + k_w * u2) * dt
+        w0 = (row[0] - bo0 + k_w * s0) * dt
+        w1 = (row[1] - bo1 + k_w * s1) * dt
+        w2 = (row[2] - bo2 + k_w * s2) * dt
+        x0 = (row[3] - bv0 + k_w * u0) * dt
+        x1 = (row[4] - bv1 + k_w * u1) * dt
+        x2 = (row[5] - bv2 + k_w * u2) * dt
         # The squared-angle check also catches finite twists whose square
         # overflows inside the exponential.
         if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
             raise DivergenceError("correction terms overflowed; reduce dt or the gains")
         r_new, p_new = _advance(r, p, *_exp_floats((w0, w1, w2), (x0, x1, x2)))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _diverged(exc) from exc
+        raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gains.gamma_rows
     b_omega_new = (
         bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),

@@ -240,6 +240,18 @@ class TestSweep:
                 f"error: --values lists no values (got {values!r})"
             ]
 
+    @pytest.mark.parametrize("value", ["inf", "1e308"])
+    def test_out_of_range_gamma_scale_exits_one(self, scenario_file, capsys, value):
+        # One error line and no numpy warning from the scaled gamma.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--scenario", str(scenario_file), "--axis", "gamma_scale",
+                         "--values", value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: gamma must be finite"]
+
     def test_unknown_axis_exits_one(self, scenario_file, capsys):
         code = main(["sweep", "--scenario", str(scenario_file), "--axis", "bogus",
                      "--values", "1.0"])

@@ -556,6 +556,7 @@ class TestSettlingTime:
     def test_never_settles(self):
         t = np.arange(0.0, 5.0, 0.1)
         assert settling_time(t, np.ones_like(t)) is None
+        assert settling_time(t, np.full_like(t, np.nan)) is None
 
     def test_window_must_fit_in_run(self):
         t = np.arange(0.0, 1.0, 0.1)
@@ -569,6 +570,20 @@ class TestSettlingTime:
         t = np.arange(0.0, 5.0, 0.1)
         with pytest.raises(ValueError, match="t and max_e"):
             settling_time(t, np.full(length, 0.01))
+
+    @pytest.mark.parametrize(
+        "t, max_e, message",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 3)), "1-D"),
+            (0.0, 0.01, "1-D"),
+            ([0.0, math.nan, 2.0], [0.01] * 3, "t must be finite"),
+            ([0.0, 1.0, math.inf], [0.01] * 3, "t must be finite"),
+        ],
+        ids=["2-d", "0-d", "nan-time", "inf-time"],
+    )
+    def test_rejects_bad_series(self, t, max_e, message):
+        with pytest.raises(ValueError, match=message):
+            settling_time(t, max_e)
 
 
 class TestFit:
@@ -593,6 +608,21 @@ class TestFit:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two positive samples"):
             fit_exponential_decay(np.array([0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "t, values, message",
+        [
+            ([0.0, 1.0, 2.0], [1.0, 0.5], "t and values"),
+            (np.zeros((3, 2)), np.ones((3, 2)), "1-D"),
+            ([0.0, math.nan, 2.0], [1.0, 0.5, 0.25], "t must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, math.inf, 0.25], "values must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, math.nan, 0.25], "values must be finite"),
+        ],
+        ids=["lengths", "2-d", "nan-time", "inf-value", "nan-value"],
+    )
+    def test_rejects_bad_series(self, t, values, message):
+        with pytest.raises(ValueError, match=message):
+            fit_exponential_decay(t, values)
 
 
 class TestSquaredNorms:
@@ -639,6 +669,27 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(make_compact_scenario(duration=0.1), "k_q", [1.0])
+
+    @pytest.mark.parametrize("values", ["12", b"12"], ids=["str", "bytes"])
+    def test_string_values_rejected(self, values):
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            sweep(make_compact_scenario(duration=0.1), "k_p", values)
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("gamma_scale", math.inf, "gamma must be finite"),
+            ("gamma_scale", 1e308, "gamma must be finite"),
+            ("alpha_scale", 1e308, "alpha values must be positive and finite"),
+        ],
+        ids=["gamma-inf", "gamma-overflow", "alpha-overflow"],
+    )
+    def test_scale_out_of_range_is_a_value_error(self, axis, value, message):
+        base = make_compact_scenario(duration=0.1)
+        # alpha of 10 overflows when scaled by 1e308.
+        base = replace(base, gains=replace(base.gains, alpha=np.full(base.gains.count, 10.0)))
+        with pytest.raises(ValueError, match=message):
+            sweep(base, axis, [1.0, value])
 
     def test_settling_nonincreasing_in_k_p(self):
         # Larger error gains settle faster; values stay inside the region

@@ -40,7 +40,7 @@ from slamobs import (
     so3_exp,
 )
 
-from slamobs import harness, observer
+from slamobs import observer
 
 from oracles import landmark_moments, matexp_taylor, twist_matrix
 
@@ -451,12 +451,11 @@ def _stack_members(rng):
 
 
 def _inputs(measurement, gains, dt, implicit):
-    """One member's estimate-free step inputs (omega_m, v_m, w, terms), as
-    observer_step computes them."""
-    omega_m, v_m, y = measurement
-    w, gram = observer._weights(y, gains.alpha)
-    terms = observer._solve_terms(gram.tolist(), dt * gains.k_w) if implicit else None
-    return omega_m.tolist(), v_m.tolist(), w, terms
+    """One member's estimate-free step inputs (w, row), as observer_step
+    computes them: _step_inputs of a one-step block."""
+    block = tuple(a[None] for a in measurement)
+    w, u = observer._step_inputs(block, gains.alpha, dt * gains.k_w)
+    return w[0], u[0].tolist() if implicit else u[0, :6].tolist()
 
 
 def _run_stack(estimates, measurement, e, gains, dt, implicit):
@@ -465,27 +464,27 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
     members' k_p column and their GainConfigs.
 
     The stack holds each member's pose and biases as Python-float rows and
-    every member's landmarks in one array, as the sweep keeps them; W comes
-    from one _weights call over the members. Returns the new estimate of
-    each member that stayed finite, as arrays in the same layout, and the
-    mask of the members that did not.
+    every member's landmarks in one array, as the sweep keeps them; W and
+    the rows come from one _step_inputs call over a one-step block with a
+    member axis. Returns the new estimate of each member that stayed finite,
+    as arrays in the same layout, and the mask of the members that did not.
     """
     members = [tuple(a.tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
     stack = members, np.stack([estimate[2] for estimate in estimates])
     r_hat = np.stack([estimate[0] for estimate in estimates])
-    omega_m, v_m, y = measurement
     gains = list(gains)
-    w, gram = observer._weights(y, np.stack([g.alpha for g in gains]))
-    terms = [
-        observer._solve_terms(m.tolist(), dt * g.k_w) if implicit else None
-        for m, g in zip(gram, gains)
-    ]
-    if omega_m.ndim == 1:
-        omega_m, v_m = [omega_m] * len(gains), [v_m] * len(gains)
-    inputs = [a.tolist() for a in omega_m], [a.tolist() for a in v_m], w, terms
+    omega_m, v_m, y = measurement
+    block = (
+        np.broadcast_to(omega_m, (1, len(gains), 3)),
+        np.broadcast_to(v_m, (1, len(gains), 3)),
+        np.broadcast_to(y, (1, len(gains), *y.shape[-2:])),
+    )
+    alpha, c = np.stack([g.alpha for g in gains]), dt * np.array([g.k_w for g in gains])
+    w, u = observer._step_inputs(block, alpha, c)
+    rows = u[0].tolist() if implicit else u[0, :, :6].tolist()
     k_p = np.array([[g.k_p] for g in gains])
     (members, landmarks_hat), failed = observer._stacked_step(
-        stack, r_hat, inputs, e, (e * e).sum(axis=-1), k_p, gains, dt
+        stack, r_hat, (w[0], rows), e, (e * e).sum(axis=-1), k_p, gains, dt
     )
     assert len(members) == len(landmarks_hat) == (~failed).sum()
     return [
@@ -532,8 +531,9 @@ class TestSplitMoments:
 
 
 class TestSolveTerms:
-    # The harness solves a block's K steps on columns, observer_step one step
-    # on Python floats; the arithmetic is elementwise, so the bits agree.
+    # _step_inputs solves a block's K steps (and B members) on columns; one
+    # _solve_terms call per step on Python floats is the reference, and the
+    # arithmetic is elementwise, so the bits agree.
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(3, 24),
@@ -552,15 +552,17 @@ class TestSolveTerms:
             alpha = rng.uniform(0.05, 1.0, (b, n))
             c = c * rng.uniform(0.5, 2.0, b)
         velocities = rng.normal(size=(2, *y.shape[:-2], 3))
-        omega_m, v_m, w, terms = harness._block_inputs((*velocities, y), alpha, c)
-        assert omega_m == velocities[0].tolist() and v_m == velocities[1].tolist()
+        w, u = observer._step_inputs((*velocities, y), alpha, c)
         expected_w, gram = observer._weights(y, alpha)
         assert np.array_equal(w, expected_w)
+        omega_m, v_m = (v.reshape(-1, 3).tolist() for v in velocities)
+        c_steps = np.broadcast_to(c, y.shape[:-2]).reshape(-1).tolist()
         expected = [
-            observer._solve_terms(rows.tolist(), c if b is None else float(c[i % b]))
-            for i, rows in enumerate(gram.reshape(-1, 4, 4))
+            (*o, *v, *observer._solve_terms(rows, c_step))
+            for o, v, rows, c_step in zip(omega_m, v_m, gram.reshape(-1, 4, 4).tolist(), c_steps)
         ]
-        assert np.array_equal(np.reshape(terms, (-1, 13)), np.array(expected))
+        assert u.shape == (*y.shape[:-2], 19)
+        assert np.array_equal(u.reshape(-1, 19), np.array(expected))
 
 
 class TestStackedStep:
