@@ -162,27 +162,26 @@ def _truth(config: ScenarioConfig, span: int):
     v_m, y)): the range of k, the true poses at t = k * dt as (K, 3, 3) and
     (K, 3) arrays and the (K, 3), (K, 3) and (K, n, 3) measurements there
     without noise. The pose is chained on Python floats, as true_step
-    computes it, with the increment and velocities computed once per knot;
-    the landmarks are measured in one product per block (_measure). No
-    yielded array is modified afterwards.
+    computes it (the rotation as 9 entries), with the increment and
+    velocities computed once per knot; the landmarks are measured in one
+    product per block (_measure). No yielded array is modified afterwards.
     """
     steps, dt = config.step_count, config.dt
     landmarks, bias, profile = config.landmarks, config.bias, config.twist_profile
-    rot, pos = config.initial_pose.rotation.m.tolist(), config.initial_pose.position.tolist()
+    pose = config.initial_pose
+    rot, pos = pose.rotation.m.ravel().tolist(), pose.position.tolist()
     knot = None
     for start in range(0, steps + 1, span):
         block = range(start, min(start + span, steps + 1))
-        # Flat doubles, not the rows: a block of rows would hold its floats
-        # as Python objects, about six times the memory.
+        # Flat doubles, not the tuples: a block of tuples would hold its
+        # floats as Python objects, about six times the memory.
         rots, positions, velocities = array("d"), array("d"), array("d")
         for k in block:
             twist = profile.at(k * dt)
             if twist is not knot:
                 knot, (step_rot, step_pos) = twist, _increment_raw(twist, dt)
                 velocity = [*(twist.omega + bias.omega).tolist(), *(twist.vel + bias.vel).tolist()]
-            rots.extend(rot[0])
-            rots.extend(rot[1])
-            rots.extend(rot[2])
+            rots.extend(rot)
             positions.extend(pos)
             velocities.extend(velocity)
             rot, pos = _advance(rot, pos, step_rot, step_pos)
@@ -279,12 +278,14 @@ def _metric_columns(rows, truth, estimate, e, config: ScenarioConfig) -> tuple:
     landmark errors, of one record or stacked on a leading axis of K records
     (landmarks never is). The landmark-axis columns are numpy calls; the pose
     and bias ones run the float kernels of pose_error, bias_error,
-    rotation_distance and lyapunov_value on rows(a) of each array a: Python
-    floats for one record, (K,) columns for K, with the same bits.
+    rotation_distance and lyapunov_value on rows(a) of each array a (of a
+    rotation's 9 entries): Python floats for one record, (K,) columns for K,
+    with the same bits.
     """
     rot, pos, landmarks = truth
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
-    r_tilde, p_tilde = _pose_error_rows(rows(r_hat), rows(p_hat), rows(rot), rows(pos))
+    r_hat, rot = (rows(a.reshape(*a.shape[:-2], 9)) for a in (r_hat, rot))
+    r_tilde, p_tilde = _pose_error_rows(r_hat, rows(p_hat), rot, rows(pos))
     b_omega_tilde, b_v_tilde = _bias_error_rows(config.bias, rows(b_omega_hat), rows(b_v_hat))
     e_squared = (e * e).sum(axis=-1)
     return (
@@ -508,12 +509,12 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     k_p and gamma_scale axes) share each block's _step_inputs; otherwise each
     has its own on a member axis, which a member that drops is sliced out of
     for the rest of the block. Between steps each member's pose and biases
-    stay the Python floats of its float update, and only the landmark
-    estimates are one (B, n, 3) array. One _stacked_step call, given the
-    (B, 1) k_p column and the GainConfig list of the members still in the
-    batch, advances them and drops, with that step as its aborted_step, each
-    member whose update leaves the finite range. Only the squared max_e
-    column and the final landmark errors are recorded.
+    stay the Python floats of its float update (R_hat as 9 entries), and only
+    the landmark estimates are one (B, n, 3) array. One _stacked_step call,
+    given the (B, 1) k_p column and the GainConfig list of the members still
+    in the batch, advances them and drops, with that step as its
+    aborted_step, each member whose update leaves the finite range. Only the
+    squared max_e column and the final landmark errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
@@ -528,8 +529,8 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     noises = {c.noise for c in configs}
     streams = [(c.noise, c.noise.make_rng()) for c in (configs if len(noises) > 1 else configs[:1])]
     r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = base.initial_estimates.arrays()
-    rows = (r_hat.tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist())
-    members = [rows] * len(configs)
+    member = (r_hat.ravel().tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist())
+    members = [member] * len(configs)
     landmarks_hat = np.repeat(landmarks_hat[None], len(configs), axis=0)
     alive = np.arange(len(configs))
     aborted: list[int | None] = [None] * len(configs)
@@ -554,11 +555,11 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
             y = measurement[2]
             w, u = _step_inputs(measurement, alpha, c)
             for j, k in enumerate(block):
-                # fromiter over the flat floats takes half the time of
-                # np.array over the nested rows.
-                r_rows, p_rows, *_ = zip(*members)
-                r_hat = np.fromiter(flat(flat(r_rows)), float, 9 * alive.size).reshape(-1, 3, 3)
-                p_hat = np.fromiter(flat(p_rows), float, 3 * alive.size).reshape(-1, 3)
+                # fromiter over the chained floats takes half the time of
+                # np.array over the members' tuples.
+                r_hats, p_hats, *_ = zip(*members)
+                r_hat = np.fromiter(flat(r_hats), float, 9 * alive.size).reshape(-1, 3, 3)
+                p_hat = np.fromiter(flat(p_hats), float, 3 * alive.size).reshape(-1, 3)
                 e = _errors_raw(r_hat, p_hat, landmarks_hat, y[j])
                 e_squared = (e * e).sum(axis=-1)
                 max_e_squared[k, alive] = e_squared.max(axis=-1)

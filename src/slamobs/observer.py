@@ -34,13 +34,14 @@ the innovation moments G = W (e R_hat)) is one broadcasting numpy function,
 shared by one observer (_step_raw) and by observers stacked on a leading
 member axis (_stacked_step). The 3-vector and 3x3 algebra (the solve's
 application to G, the corrected twist, the exponential, the projection, the
-position and bias updates) runs on Python floats, one observer at a time
-(_member_update). One observer's step (_step_raw, which observer_step and the
-harness loop call) takes and returns P_hat and the biases as those floats and
-R_hat as the array that the landmark-axis formulas take; a stack keeps each
-member's pose and biases as those floats between steps and loops over its
-members, so a stacked member runs its solo step's code, and a member whose
-update leaves the finite range drops out of the stack alone.
+position and bias updates) runs on Python floats, a 3x3 matrix as its 9
+row-major entries, one observer at a time (_member_update). One observer's
+step (_step_raw, which observer_step and the harness loop call) takes and
+returns P_hat and the biases as those floats and R_hat as the array that the
+landmark-axis formulas take; a stack keeps each member's pose and biases as
+those floats between steps and loops over its members, so a stacked member
+runs its solo step's code, and a member whose update leaves the finite range
+drops out of the stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -56,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
+from math import isfinite
 
 import numpy as np
 
@@ -94,12 +96,9 @@ class ObserverState:
     b_v_hat: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_hat", _as_vec3(self.p_hat, "p_hat"))
-        object.__setattr__(
-            self, "landmarks_hat", _as_landmarks(self.landmarks_hat, "landmarks_hat")
-        )
-        object.__setattr__(self, "b_omega_hat", _as_vec3(self.b_omega_hat, "b_omega_hat"))
-        object.__setattr__(self, "b_v_hat", _as_vec3(self.b_v_hat, "b_v_hat"))
+        for name in ("p_hat", "landmarks_hat", "b_omega_hat", "b_v_hat"):
+            check = _as_landmarks if name == "landmarks_hat" else _as_vec3
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
     @property
     def count(self) -> int:
@@ -229,7 +228,7 @@ def error_geometry(e, k_p: float) -> LandmarkError:
 
     The rotation r_e by theta = 2 atan(||e||) about e / ||e|| is the step's
     exponential, so3_exp(theta * axis) bit for bit, and the gain is
-    k_p / (1 + trace(r_e)) of its rows. ValueError unless ||e|| is finite.
+    k_p / (1 + trace(r_e)). ValueError unless ||e|| is finite.
     """
     k_p = _as_positive(k_p, "k_p")
     a = np.asarray(e, dtype=float).reshape(3)
@@ -242,9 +241,9 @@ def error_geometry(e, k_p: float) -> LandmarkError:
     # 1 + trace is 4 / (1 + ||e||^2) analytically; it rounds to zero or
     # below once ||e|| is so large that theta rounds to pi, where the gain is
     # unbounded anyway.
-    denom = 1.0 + (r_e[0][0] + r_e[1][1] + r_e[2][2])
+    denom = 1.0 + (r_e[0] + r_e[4] + r_e[8])
     psi = math.inf if denom <= 0.0 else k_p / denom
-    return LandmarkError(a, theta, axis, _trusted(Rotation3, m=np.array(r_e)), psi)
+    return LandmarkError(a, theta, axis, _trusted(Rotation3, m=np.array(r_e).reshape(3, 3)), psi)
 
 
 def landmark_errors(state: ObserverState, frame: SensorFrame) -> np.ndarray:
@@ -296,7 +295,7 @@ def correction_terms(
     e = landmark_errors(state, frame)
     _check_gain_count(gains, state.count)
     w, _ = _weights(frame.y, gains.alpha)
-    s_omega, s_v = _feedback_apply((), _error_moments(w, e, state.r_hat.m).tolist())
+    s_omega, s_v = _feedback_apply((), _error_moments(w, e, state.r_hat.m).ravel().tolist())
     return -gains.k_w * np.array(s_omega), -gains.k_w * np.array(s_v)
 
 
@@ -342,9 +341,9 @@ def _solve_terms(gram, c) -> tuple:
 
 def _step_inputs(measurement: tuple, alpha: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
     """W of _weights and the float64 rows u of a block's (omega_m, v_m, y),
-    step first, then members where they have their own, with the alpha and
-    c = dt k_w that broadcast against them: a row is the 3 + 3 measured
-    velocities, then the 13 _solve_terms."""
+    step first (a frame without it gives one), then members where they have
+    their own, with the alpha and c = dt k_w that broadcast against them: a
+    row is the 3 + 3 measured velocities, then the 13 _solve_terms."""
     omega_m, v_m, y = measurement
     w, gram = _weights(y, alpha)
     terms = _solve_terms(np.moveaxis(gram, (-2, -1), (0, 1)), c)
@@ -354,14 +353,14 @@ def _step_inputs(measurement: tuple, alpha: np.ndarray, c) -> tuple[np.ndarray, 
 def _feedback_apply(row, g) -> tuple[tuple, tuple]:
     """The innovation sums (s_omega, s_v) fed back into the step, as two
     3-tuples of Python floats, from the step's row of _step_inputs and the
-    entries g of _error_moments.
+    12 row-major entries g of _error_moments.
 
     The explicit scheme (a row without solve terms) feeds back s_omega =
     sum_i y_i x u_i, the antisymmetric part of G: (G12 - G21, G20 - G02,
     G01 - G10), and s_v = sum_i u_i; the implicit one s_bar, solved with the
     row's 13 _solve_terms.
     """
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22), (v0, v1, v2) = g
+    g00, g01, g02, g10, g11, g12, g20, g21, g22, v0, v1, v2 = g
     w0, w1, w2 = g12 - g21, g20 - g02, g01 - g10
     if len(row) <= 6:
         return (w0, w1, w2), (v0, v1, v2)
@@ -408,10 +407,9 @@ def observer_step(
     estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(all="ignore"):
         e = landmark_errors(state, frame)
-        measurement = (frame.omega_m[None], frame.v_m[None], frame.y[None])
-        w, u = _step_inputs(measurement, gains.alpha, dt * gains.k_w)
-        row = u[0].tolist() if scheme == "implicit" else u[0, :6].tolist()
-        r_new, *rest = _step_raw(estimate, (w[0], row), e, gains, dt)
+        w, u = _step_inputs((frame.omega_m, frame.v_m, frame.y), gains.alpha, dt * gains.k_w)
+        row = u.tolist() if scheme == "implicit" else u[:6].tolist()
+        r_new, *rest = _step_raw(estimate, (w, row), e, gains, dt)
     return ObserverState(_trusted(Rotation3, m=r_new), *rest)
 
 
@@ -445,19 +443,19 @@ def _step_raw(estimate: tuple, inputs: tuple, e: np.ndarray, gains: GainConfig, 
     e_squared = (e * e).sum(axis=-1)
     g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains.k_p, dt)
     r_new, p_new, b_omega_new, b_v_new = _member_update(
-        r_hat.tolist(), p_hat, b_omega_hat, b_v_hat, row, g.tolist(), gains, dt
+        (r_hat.ravel().tolist(), p_hat, b_omega_hat, b_v_hat), row, g.ravel().tolist(), gains, dt
     )
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
-    return np.array(r_new), p_new, landmarks_new, b_omega_new, b_v_new
+    return np.array(r_new).reshape(3, 3), p_new, landmarks_new, b_omega_new, b_v_new
 
 
 def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfig], dt):
     """_step_raw for B members stacked on a leading axis.
 
-    stack is (members, landmarks_hat): each member's (r_hat rows, p_hat,
-    b_omega_hat, b_v_hat) as the Python floats that _member_update takes
-    and returns, and every member's landmarks_hat in one (B, n, 3) array.
+    stack is (members, landmarks_hat): each member's (r_hat, p_hat,
+    b_omega_hat, b_v_hat) as _member_update takes and returns it, and every
+    member's landmarks_hat in one (B, n, 3) array.
     r_hat holds the members' rotations as one (B, 3, 3) array, e their
     landmark errors and e_squared the errors' squared norms. inputs is
     (w, rows): W, shared or on the member axis, and the members' rows as in
@@ -472,10 +470,10 @@ def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfi
     w, rows = inputs
     g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt)
     finite = np.isfinite(landmarks_new).all(axis=(1, 2))
-    updates = []
-    for i, (member, *member_inputs) in enumerate(zip(members, rows, g.tolist(), gains)):
+    updates, g = [], g.reshape(-1, 12).tolist()
+    for i, (member, row, g_i, gains_i) in enumerate(zip(members, rows, g, gains)):
         try:
-            updates.append(_member_update(*member, *member_inputs, dt))
+            updates.append(_member_update(member, row, g_i, gains_i, dt))
         except DivergenceError:
             finite[i] = False
             # The member's old values hold its place; the mask drops them.
@@ -486,18 +484,16 @@ def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfi
     return (updates, landmarks_new), ~finite
 
 
-def _member_update(r, p, b_omega, b_v, row, g, gains: GainConfig, dt) -> tuple:
+def _member_update(member, row, g, gains: GainConfig, dt) -> tuple:
     """The pose and bias part of one member's step, on Python floats.
 
-    The estimate arrives as Python floats (r as rows), row as in _step_raw,
-    g as _feedback_apply takes it, and the member's own gains, of which it
-    reads k_w and gamma_rows; returns the new rotation rows, position and
-    biases. Raises DivergenceError when the corrected twist or the new state
-    is not finite, or when the float arithmetic raises where numpy would
-    return inf or NaN.
+    member is (r, p, b_omega, b_v) on Python floats, r as its 9 row-major
+    entries, row is as in _step_raw, g the 12 entries of G, and gains the
+    member's own (k_w and gamma_rows); returns the new member, same layout.
+    DivergenceError when the corrected twist or the new state is not finite,
+    or when the float arithmetic raises where numpy would return inf or NaN.
     """
-    bo0, bo1, bo2 = b_omega
-    bv0, bv1, bv2 = b_v
+    r, p, (bo0, bo1, bo2), (bv0, bv1, bv2) = member
     k_w = gains.k_w
     try:
         (s0, s1, s2), (u0, u1, u2) = _feedback_apply(row, g)
@@ -510,25 +506,24 @@ def _member_update(r, p, b_omega, b_v, row, g, gains: GainConfig, dt) -> tuple:
         x2 = (row[5] - bv2 + k_w * u2) * dt
         # The squared-angle check also catches finite twists whose square
         # overflows inside the exponential.
-        if not all(map(math.isfinite, (w0 * w0 + w1 * w1 + w2 * w2, x0, x1, x2))):
+        if not (isfinite(w0 * w0 + w1 * w1 + w2 * w2) and isfinite(x0) and isfinite(x1)
+                and isfinite(x2)):
             raise DivergenceError("correction terms overflowed; reduce dt or the gains")
         r_new, p_new = _advance(r, p, *_exp_floats((w0, w1, w2), (x0, x1, x2)))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DivergenceError(f"observer update failed ({exc}); reduce dt or the gains") from exc
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gains.gamma_rows
-    b_omega_new = (
-        bo0 - dt * (g00 * s0 + g01 * s1 + g02 * s2),
-        bo1 - dt * (g10 * s0 + g11 * s1 + g12 * s2),
-        bo2 - dt * (g20 * s0 + g21 * s1 + g22 * s2),
-    )
-    b_v_new = (
-        bv0 - dt * (g00 * u0 + g01 * u1 + g02 * u2),
-        bv1 - dt * (g10 * u0 + g11 * u1 + g12 * u2),
-        bv2 - dt * (g20 * u0 + g21 * u1 + g22 * u2),
-    )
-    if not all(map(math.isfinite, (*p_new, *b_omega_new, *b_v_new))):
+    p0, p1, p2 = p_new
+    bo0 -= dt * (g00 * s0 + g01 * s1 + g02 * s2)
+    bo1 -= dt * (g10 * s0 + g11 * s1 + g12 * s2)
+    bo2 -= dt * (g20 * s0 + g21 * s1 + g22 * s2)
+    bv0 -= dt * (g00 * u0 + g01 * u1 + g02 * u2)
+    bv1 -= dt * (g10 * u0 + g11 * u1 + g12 * u2)
+    bv2 -= dt * (g20 * u0 + g21 * u1 + g22 * u2)
+    if not (isfinite(p0) and isfinite(p1) and isfinite(p2) and isfinite(bo0) and isfinite(bo1)
+            and isfinite(bo2) and isfinite(bv0) and isfinite(bv1) and isfinite(bv2)):
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
-    return r_new, p_new, b_omega_new, b_v_new
+    return r_new, p_new, (bo0, bo1, bo2), (bv0, bv1, bv2)
 
 
 def lyapunov_value(
@@ -573,15 +568,16 @@ def _bias_error_rows(true_bias: SensorBias, b_omega_hat, b_v_hat) -> tuple[tuple
 def pose_error(state: ObserverState, truth: TrueState) -> PoseError:
     """Truth-aware pose error; constant in the limit of a converged run."""
     arrays = (state.r_hat.m, state.p_hat, truth.pose.rotation.m, truth.pose.position)
-    r_tilde, p_tilde = _pose_error_rows(*(a.tolist() for a in arrays))
-    return PoseError(_trusted(Rotation3, m=np.array(r_tilde)), np.array(p_tilde))
+    r_tilde, p_tilde = _pose_error_rows(*(a.ravel().tolist() for a in arrays))
+    return PoseError(_trusted(Rotation3, m=np.array(r_tilde).reshape(3, 3)), np.array(p_tilde))
 
 
 def _pose_error_rows(r_hat, p_hat, rot, pos) -> tuple[tuple, tuple]:
     """pose_error entry by entry, r_tilde = R_hat R^T and p_tilde =
-    P_hat - r_tilde P, on rows of Python floats or of (K,) columns."""
-    r_tilde = _mul3(r_hat, tuple(zip(*rot)))
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = r_tilde
+    P_hat - r_tilde P, on Python floats or on (K,) columns, each rotation
+    as its 9 row-major entries."""
+    r_tilde = _mul3(r_hat, (*rot[0::3], *rot[1::3], *rot[2::3]))  # R_hat R^T
+    t00, t01, t02, t10, t11, t12, t20, t21, t22 = r_tilde
     x0, x1, x2 = pos
     return r_tilde, (
         p_hat[0] - (t00 * x0 + t01 * x1 + t02 * x2),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, Twist, _as_positive
+from .geometry import Pose, Rotation3, Twist, _as_positive, _increment_raw
 from .observer import GainConfig, ObserverState, _check_gain_count
 from .world import NoiseSpec, SensorBias, _as_landmarks, _check_landmark_bias
 
@@ -125,6 +125,8 @@ class ScenarioConfig:
                     f"duration / dt = {self.duration / self.dt:.3g} exceeds the "
                     f"step cap of {MAX_STEPS:g}"
                 )
+            for _, twist in self.twist_profile.knots:
+                _increment_raw(twist, self.dt)  # ValueError if the increment overflows
             lm = _as_landmarks(self.landmarks)
             n = lm.shape[0]
             # Scaled to a largest coordinate of 1 first, so that neither the

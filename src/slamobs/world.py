@@ -150,11 +150,13 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
 
     Landmarks are fixed and carried through untouched; the rotation is
     re-projected so orthonormality cannot drift over long runs. The
-    arithmetic runs on Python floats, as in the harness's chained truth.
+    arithmetic runs on Python floats, as in the harness's chained truth. An
+    increment dt omega, dt v that overflows is a ValueError naming dt.
     """
     step = _increment_raw(u, _as_positive(dt, "dt"))
-    rot, pos = _advance(state.pose.rotation.m.tolist(), state.pose.position.tolist(), *step)
-    return TrueState(Pose(_trusted(Rotation3, m=np.array(rot)), np.array(pos)), state.landmarks)
+    rot, pos = _advance(state.pose.rotation.m.ravel().tolist(), state.pose.position.tolist(), *step)
+    pose = Pose(_trusted(Rotation3, m=np.array(rot).reshape(3, 3)), np.array(pos))
+    return TrueState(pose, state.landmarks)
 
 
 def _measure(

@@ -180,6 +180,18 @@ class TestRun:
         assert "dt must be positive and finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_overflowing_dt_exits_one(self, tmp_path, capsys):
+        # A dt whose twist increment overflows is named, not a math domain error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--scenario", "paper-sec5", "--out", str(tmp_path), "--dt", "1e308"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: dt = 1e+308 overflows the twist increment dt * omega, dt * v"
+        ]
+
     @pytest.mark.parametrize("flag", ["--dt", "--duration"])
     def test_non_finite_override_exits_one(self, scenario_file, tmp_path, capsys, flag):
         code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path),
@@ -251,6 +263,17 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: gamma must be finite"]
+
+    def test_overflowing_dt_value_exits_one(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--scenario", "paper-sec5", "--axis", "dt", "--values", "1e308"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: dt = 1e+308 overflows the twist increment dt * omega, dt * v"
+        ]
 
     def test_unknown_axis_exits_one(self, scenario_file, capsys):
         code = main(["sweep", "--scenario", str(scenario_file), "--axis", "bogus",

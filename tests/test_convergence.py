@@ -94,7 +94,7 @@ def series():
             chunk = []
         if k >= tail_start:
             r_tilde, p_tilde = map(np.array, _pose_error_rows(
-                *(a.tolist() for a in (estimate[0], estimate[1], *truth))
+                *(a.ravel().tolist() for a in (estimate[0], estimate[1], *truth))
             ))
             if prev_pose_err is not None:
                 worst_tail_step = max(

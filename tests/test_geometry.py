@@ -161,6 +161,23 @@ class TestSe3Exp:
                 with pytest.raises(ValueError, match="dt must be positive and finite"):
                     se3_exp(Twist(np.ones(3), np.ones(3)), dt)
 
+    @pytest.mark.parametrize(
+        "omega, vel, dt",
+        [
+            ([0.0, 0.0, 0.3], [2.5, 0.0, 0.0], 1e308),
+            ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e200),
+            ([0.0, 0.0, 0.0], [10.0, 0.0, 0.0], 1e308),
+        ],
+        ids=["paper-sec5-twist", "squared-angle", "translation"],
+    )
+    def test_rejects_an_increment_that_overflows(self, omega, vel, dt):
+        # dt is finite, but dt * v, or the square of the angle dt * ||omega||,
+        # is not: one ValueError that names dt, without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dt = 1e\+\d+ overflows the twist increment"):
+                se3_exp(Twist(np.array(omega), np.array(vel)), dt)
+
 
 class TestRotationDistance:
     def test_identity(self):
@@ -196,7 +213,7 @@ class TestRotationDistance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             floats = [rotation_distance(Rotation3(m)) for m in stack]
-            columns = geometry._distance_rows(np.moveaxis(stack, 0, -1))
+            columns = geometry._distance_rows(np.moveaxis(stack.reshape(-1, 9), 0, -1))
         assert floats == [0.0, 1.0, 1.0, 1.0]
         assert columns.tolist() == floats
 
@@ -252,6 +269,23 @@ class TestProjectOrthonormal:
     def test_corrects_reflection(self):
         r = project_orthonormal(np.diag([1.0, 1.0, -1.0]))
         assert abs(np.linalg.det(r.m) - 1.0) <= 1e-12
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("case", ["outside-band", "reflection"])
+    def test_svd_fallback_equals_project_svd(self, rng, case):
+        # r step_rot leaves the series' domain: 1% off orthonormal, or
+        # orthonormal with det -1. Either takes _project_svd of the product.
+        r = so3_exp(rng.normal(size=3)).m
+        r = 1.01 * r if case == "outside-band" else r @ np.diag([1.0, 1.0, -1.0])
+        step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 0.1)
+        r9, p = r.ravel().tolist(), [0.5, -1.0, 2.0]
+        product = np.array(geometry._mul3(r9, step[0])).reshape(3, 3)
+        outside = np.abs(product.T @ product - np.eye(3)).max() > 1e-5
+        assert outside if case == "outside-band" else np.linalg.det(product) <= 0.0
+        rot, pos = geometry._advance(r9, p, *step)
+        assert list(rot) == geometry._project_svd(product).ravel().tolist()
+        assert np.allclose(pos, r @ np.array(step[1]) + p, rtol=0.0, atol=1e-12)
 
 
 class TestTypes:

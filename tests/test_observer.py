@@ -451,8 +451,9 @@ def _stack_members(rng):
 
 
 def _inputs(measurement, gains, dt, implicit):
-    """One member's estimate-free step inputs (w, row), as observer_step
-    computes them: _step_inputs of a one-step block."""
+    """One member's estimate-free step inputs (w, row), as run and sweep
+    compute them: _step_inputs of a one-step block, which observer_step's
+    frame without a step axis equals bit for bit (TestFrameInputs)."""
     block = tuple(a[None] for a in measurement)
     w, u = observer._step_inputs(block, gains.alpha, dt * gains.k_w)
     return w[0], u[0].tolist() if implicit else u[0, :6].tolist()
@@ -463,13 +464,14 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
     ObserverState.arrays(), with a stacked or shared measurement, the
     members' k_p column and their GainConfigs.
 
-    The stack holds each member's pose and biases as Python-float rows and
-    every member's landmarks in one array, as the sweep keeps them; W and
+    The stack holds each member's pose and biases as one flat tuple of
+    Python floats, R_hat as its 9 row-major entries, and every member's
+    landmarks in one array, as the sweep keeps them; W and
     the rows come from one _step_inputs call over a one-step block with a
     member axis. Returns the new estimate of each member that stayed finite,
     as arrays in the same layout, and the mask of the members that did not.
     """
-    members = [tuple(a.tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
+    members = [tuple(a.ravel().tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
     stack = members, np.stack([estimate[2] for estimate in estimates])
     r_hat = np.stack([estimate[0] for estimate in estimates])
     gains = list(gains)
@@ -488,7 +490,7 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
     )
     assert len(members) == len(landmarks_hat) == (~failed).sum()
     return [
-        (np.array(r), np.array(p), landmarks, np.array(bo), np.array(bv))
+        (np.array(r).reshape(3, 3), np.array(p), landmarks, np.array(bo), np.array(bv))
         for (r, p, bo, bv), landmarks in zip(members, landmarks_hat)
     ], failed
 
@@ -563,6 +565,42 @@ class TestSolveTerms:
         ]
         assert u.shape == (*y.shape[:-2], 19)
         assert np.array_equal(u.reshape(-1, 19), np.array(expected))
+
+
+class TestFrameInputs:
+    # observer_step passes its one frame without a step axis; its W and row
+    # must keep the bits of a one-step block, which run and sweep use.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 29),
+        log_scale=st.floats(-3.0, 3.0),
+        log_c=st.floats(-9.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_frame_equals_a_one_step_block(self, n, log_scale, log_c, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(scale=10.0**log_scale, size=(n, 3))
+        frame = (rng.normal(size=3), rng.normal(size=3), y)
+        alpha, c = rng.uniform(0.05, 1.0, n), 10.0**log_c
+        w, u = observer._step_inputs(frame, alpha, c)
+        block_w, block_u = observer._step_inputs(tuple(a[None] for a in frame), alpha, c)
+        assert w.shape == (4, n) and u.shape == (19,)
+        assert np.array_equal(w, block_w[0]) and np.array_equal(u, block_u[0])
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_observer_step_passes_its_frame_without_a_step_axis(self, rng, monkeypatch, scheme):
+        # A one-step block would run the solve on (1,) columns, about 40%
+        # more time per frame.
+        shapes, step_inputs = [], observer._step_inputs
+
+        def spy(measurement, alpha, c):
+            shapes.append([np.shape(a) for a in measurement])
+            return step_inputs(measurement, alpha, c)
+
+        monkeypatch.setattr(observer, "_step_inputs", spy)
+        y = rng.normal(size=(4, 3))
+        observer_step(_state(landmarks_hat=y), frame_from(y), reference_gains(), 0.01, scheme=scheme)
+        assert shapes == [[(3,), (3,), (4, 3)]]
 
 
 class TestStackedStep:

@@ -17,6 +17,7 @@ from slamobs import (
     load_scenario,
     reference_scenario,
     scenario_from_dict,
+    sweep,
 )
 
 MINIMAL = {
@@ -534,6 +535,26 @@ class TestOverrides:
     def test_with_overrides_revalidates(self):
         with pytest.raises(ScenarioError, match="dt"):
             reference_scenario().with_overrides(dt=-1.0)
+
+    def test_overflowing_increment_names_dt(self):
+        # Every knot's dt * omega, dt * v and squared angle must be finite,
+        # wherever a config is built: from a file (here only the second knot
+        # overflows), by with_overrides and on the dt sweep axis.
+        schedule = [
+            {"t": 0.0, "omega": [0.0, 0.0, 0.0], "vel": [1.0, 0.0, 0.0]},
+            {"t": 1.0, "omega": [0.0, 0.0, 0.0], "vel": [1e10, 0.0, 0.0]},
+        ]
+        data = {k: v for k, v in MINIMAL.items() if k != "twist"}
+        builds = [
+            (lambda: scenario_from_dict(dict(data, twist_schedule=schedule, dt=1e300)), "1e\\+300"),
+            (lambda: reference_scenario().with_overrides(dt=1e308), "1e\\+308"),
+            (lambda: sweep(reference_scenario(), "dt", [1e-3, 1e308]), "1e\\+308"),
+        ]
+        for build, dt in builds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ScenarioError, match=f"dt = {dt} overflows the twist increment"):
+                    build()
 
     def test_step_count_avoids_float_fuzz(self):
         config = reference_scenario().with_overrides(dt=0.1, duration=1.0)

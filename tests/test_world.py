@@ -94,6 +94,13 @@ class TestTrueStep:
                 with pytest.raises(ValueError, match="dt must be positive and finite"):
                     true_step(hover_state(), u, dt)
 
+    def test_rejects_an_increment_that_overflows(self):
+        u = Twist(np.array([0.0, 0.0, 0.3]), np.array([2.5, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dt = 1e\+308 overflows the twist increment"):
+                true_step(hover_state(), u, 1e308)
+
 
 class TestSense:
     def test_reference_velocities_with_bias(self):
