@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import SWEEP_AXES, run, sweep, write_csv
+from .harness import SWEEP_AXES, _check_stride, run, sweep, write_csv
 from .observer import DivergenceError
 from .scenario import load_scenario
 
@@ -71,7 +71,9 @@ def _cmd_run(args) -> int:
     )
     out_dir = Path(args.out)
     path = out_dir / f"{config.name}.csv"
-    # Before the run, so that an unusable --out fails without simulating.
+    # Before the run, so that an unusable --out fails without simulating, and
+    # after the stride check, so that a bad --stride leaves no directory.
+    _check_stride(args.stride)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

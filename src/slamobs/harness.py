@@ -318,6 +318,13 @@ def compute_metrics(snapshot: StepSnapshot, config: ScenarioConfig) -> MetricsRe
     return MetricsRecord(snapshot.t, e_norm, p_err, *map(float, scalars))
 
 
+def _check_stride(stride) -> None:
+    """ValueError unless stride is an integer >= 1 (the one rule, also the CLI's)."""
+    # An integral type only, as for NoiseSpec's seed: nan or 2.5 is no stride.
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+
+
 def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
     """Run the scenario and return the recorded metric series.
 
@@ -325,9 +332,7 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
     config (noise seed included); a non-finite observer state aborts the run
     with a DivergenceError carrying the failing step index.
     """
-    # An integral type only, as for NoiseSpec's seed: nan or 2.5 is no stride.
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    _check_stride(stride)
     steps = config.step_count
     recorded = steps // stride + 1 + (steps % stride != 0)
     records = []
@@ -406,8 +411,12 @@ def settling_time(
 
     Returns None when no window that fits inside the run qualifies; a NaN
     max_e is not below threshold. ValueError unless t and max_e are 1-D of
-    one shape and t is finite.
+    one shape, t is finite, threshold is positive and finite and hold is
+    finite and >= 0.
     """
+    threshold = _as_positive(threshold, "threshold")
+    if not 0.0 <= hold < math.inf:
+        raise ValueError(f"hold must be finite and >= 0, got {hold!r}")
     t, max_e = _series(t, max_e, "max_e")
     below = max_e < threshold
     start = None

@@ -22,7 +22,9 @@ before they enter the twist and the bias update, which removes that limit.
 Neither scheme iterates. observer_step defaults to the explicit scheme, the
 literal discretization of the continuous law; the scenario runner
 (harness.trajectory) steps with the implicit one. The rotation estimate is
-re-projected onto the orthonormal manifold after every update.
+projected back onto the orthonormal manifold once it drifts: when an entry
+of R_hat^T R_hat - I reaches geometry.DRIFT_TOL = 1e-13 (geometry._advance),
+in 6 of 10,001 pose advances of a 5 s paper-sec5 run.
 
 The step splits first by what depends on the estimate. The alpha-weighted rows
 W of y, their Gram (_weights) and the part of the implicit solve that these

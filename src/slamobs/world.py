@@ -149,7 +149,9 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """Advance the true pose by the exact exponential of the twist over dt.
 
     Landmarks are fixed and carried through untouched; the rotation is
-    re-projected so orthonormality cannot drift over long runs. The
+    projected back onto the rotations once an entry of R^T R - I reaches
+    geometry.DRIFT_TOL = 1e-13 (geometry._advance), so orthonormality cannot
+    drift over long runs, and a step rarely pays for the projection. The
     arithmetic runs on Python floats, as in the harness's chained truth. An
     increment dt omega, dt v that overflows is a ValueError naming dt.
     """

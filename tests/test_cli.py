@@ -205,6 +205,14 @@ class TestRun:
         assert code == 1
         assert "stride" in capsys.readouterr().err
 
+    def test_bad_stride_creates_no_directory(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "new" / "dir"
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                     "--stride", "0"])
+        assert code == 1
+        assert "stride must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_out_is_existing_file_exits_one(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")

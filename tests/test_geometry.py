@@ -23,6 +23,12 @@ from slamobs import geometry
 from oracles import matexp_taylor, twist_matrix
 
 
+def _drift(m) -> float:
+    """max |m^T m - I| of a 3x3 matrix, or of (..., 3, 3) matrices."""
+    m = np.asarray(m, dtype=float).reshape(-1, 3, 3)
+    return float(np.abs(np.einsum("kji,kjl->kil", m, m) - np.eye(3)).max())
+
+
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -270,6 +276,16 @@ class TestProjectOrthonormal:
         r = project_orthonormal(np.diag([1.0, 1.0, -1.0]))
         assert abs(np.linalg.det(r.m) - 1.0) <= 1e-12
 
+    def test_projects_drift_inside_the_chain_tolerance(self):
+        # Only _advance skips the projection below DRIFT_TOL; an explicit
+        # call projects whatever it is given.
+        m = rot_z(0.3) * (1.0 + 2.5e-14)
+        drift = _drift(m)
+        assert 4e-14 < drift < geometry.DRIFT_TOL
+        fixed = project_orthonormal(m).m
+        assert (fixed != m).any()
+        assert _drift(fixed) < drift / 10.0
+
 
 class TestAdvance:
     @pytest.mark.parametrize("case", ["outside-band", "reflection"])
@@ -286,6 +302,41 @@ class TestAdvance:
         rot, pos = geometry._advance(r9, p, *step)
         assert list(rot) == geometry._project_svd(product).ravel().tolist()
         assert np.allclose(pos, r @ np.array(step[1]) + p, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale, projected", [(1.0 + 2e-14, False), (1.0 + 1e-13, True)], ids=["below", "above"]
+    )
+    def test_projects_only_past_the_drift_tolerance(self, rng, scale, projected):
+        # Entries of E = a^T a - I near 4e-14 stay below DRIFT_TOL, near 2e-13
+        # above it; above, the product takes the series of _project_rows.
+        r9 = (so3_exp(rng.normal(size=3)).m * scale).ravel().tolist()
+        step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 0.1)
+        product = geometry._mul3(r9, step[0])
+        assert (_drift(product) >= geometry.DRIFT_TOL) == projected
+        rot, _ = geometry._advance(r9, [0.5, -1.0, 2.0], *step)
+        assert list(rot) == list(geometry._project_rows(product) if projected else product)
+        assert (list(rot) != list(product)) == projected
+
+    def test_long_chain_stays_within_the_tolerance(self, rng, monkeypatch):
+        # One product of rotations drifts by about 1e-16, so a chain projects
+        # rarely, and never lets an entry of E pass DRIFT_TOL by more than
+        # one step's rounding.
+        project, projected = geometry._project_rows, []
+
+        def counting(a, keep=0.0):
+            out = project(a, keep)
+            projected.append(out is not a)
+            return out
+
+        monkeypatch.setattr(geometry, "_project_rows", counting)
+        step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 1e-3)
+        r, p, rots = np.eye(3).ravel().tolist(), [0.0, 0.0, 0.0], []
+        for _ in range(100_000):
+            r, p = geometry._advance(r, p, *step)
+            rots.append(r)
+        assert _drift(rots) <= geometry.DRIFT_TOL + 4.0 * np.finfo(float).eps
+        assert len(projected) == 100_000
+        assert 0 < sum(projected) < 1_000
 
 
 class TestTypes:

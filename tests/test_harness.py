@@ -585,6 +585,31 @@ class TestSettlingTime:
         with pytest.raises(ValueError, match=message):
             settling_time(t, max_e)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hold": -1.0}, "hold must be finite and >= 0, got -1.0"),
+            ({"hold": math.nan}, "hold must be finite and >= 0, got nan"),
+            ({"hold": math.inf}, "hold must be finite and >= 0, got inf"),
+            ({"threshold": math.nan}, "threshold must be positive and finite, got nan"),
+            ({"threshold": 0.0}, "threshold must be positive and finite, got 0.0"),
+            ({"threshold": -0.05}, "threshold must be positive and finite, got -0.05"),
+            ({"threshold": math.inf}, "threshold must be positive and finite, got inf"),
+        ],
+        ids=["negative-hold", "nan-hold", "inf-hold", "nan-threshold", "zero-threshold",
+             "negative-threshold", "inf-threshold"],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        # A negative hold read 0.0 and a NaN hold or threshold None.
+        t = np.arange(0.0, 5.0, 0.1)
+        with pytest.raises(ValueError, match=message):
+            settling_time(t, np.full_like(t, 0.01), **kwargs)
+
+    def test_zero_hold_is_the_first_time_below(self):
+        t = np.arange(0.0, 5.0, 0.1)
+        max_e = np.where(t < 2.0, 1.0, 0.01)
+        assert settling_time(t, max_e, hold=0.0) == pytest.approx(2.0)
+
 
 class TestFit:
     def test_exact_exponential_recovered(self):

@@ -1,7 +1,9 @@
 """Source checks that no installed linter makes: every imported name is used,
-and every private module-level name is loaded by other src/ code."""
+every private module-level name is loaded by other src/ code, and every
+module stays under the parser-token count where compiling it costs more."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ import slamobs
 
 # __init__ imports names to re-export them.
 MODULES = sorted(p for p in Path(slamobs.__file__).parent.glob("*.py") if p.name != "__init__.py")
+# Python 3.11's compile of a module past this many parser tokens peaks about
+# 240 KB higher, and a process that compiles src/ pays it in its peak RSS.
+TOKEN_LIMIT = 4_096
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -62,3 +67,21 @@ def test_every_private_name_is_loaded():
             if not any(loaded == name and id(node) not in own for node, loaded in loads):
                 unused.append(name)
     assert not unused, f"no src/ code loads {sorted(unused)}"
+
+
+@pytest.fixture(scope="module")
+def parser_tokens():
+    """tools/bench_pairs.py's parser_tokens, the one count of a module's tokens."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.parser_tokens
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(slamobs.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_stays_under_the_token_limit(parser_tokens, path):
+    tokens = parser_tokens(path)
+    assert tokens < TOKEN_LIMIT, f"{path.name} has {tokens} parser tokens"

@@ -17,7 +17,8 @@ quartiles (statistics.quantiles, n=4) and per-pair values, the pairs in which
 the change read better, and the median change against the bound that
 BENCHMARK.json fixes; the failed-operation counts; the reference outputs that
 perfbench checks (their hashes, seed by seed); each side's environment; and
-each side's ``wc -l src/slamobs/*.py``, file by file and in total.
+each side's ``wc -l src/slamobs/*.py``, file by file and in total, and the
+parser tokens of each of those files (parser_tokens).
 A ``--claim`` is judged by the gain rule: better in at least nine tenths of
 the pairs, ties counting for neither, and medians apart by more than the
 parent's interquartile distance. ``--notes`` adds the keys of a JSON object
@@ -35,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +99,21 @@ def source_lines(root: Path) -> dict:
     files = sorted((root / "src" / "slamobs").glob("*.py"))
     counts = {path.name: path.read_bytes().count(b"\n") for path in files}
     return {**counts, "total": sum(counts.values())}
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens of a Python file, counted by tokenize without COMMENT and NL
+    tokens (a docstring is one). Python 3.11's compile of a module past 4,096
+    of them peaks about 240 KB higher."""
+    with path.open(encoding="utf-8") as fh:
+        tokens = tokenize.generate_tokens(fh.readline)
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+
+
+def source_tokens(root: Path) -> dict:
+    """parser_tokens of each file of src/slamobs in the checkout root."""
+    files = sorted((root / "src" / "slamobs").glob("*.py"))
+    return {path.name: parser_tokens(path) for path in files}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -213,6 +230,7 @@ def main(argv=None) -> int:
         if perfbench_digest(parent_root) != perfbench_digest(ROOT):
             raise SystemExit("bench_pairs: perfbench differs between the parent and this tree")
         lines = {"before": source_lines(parent_root), "after": source_lines(ROOT)}
+        tokens = {"before": source_tokens(parent_root), "after": source_tokens(ROOT)}
         for seed in args.seeds:
             for workload in args.workloads:
                 sides = [("before", parent_root), ("after", ROOT)]
@@ -270,6 +288,7 @@ def main(argv=None) -> int:
         },
         "environment": environment,
         "source_lines": lines,
+        "source_tokens": tokens,
     }
     out.update(notes)
     path = ROOT / f"BENCH_{args.pr}.json"
