@@ -5,44 +5,41 @@ from that measurement and the current states, and then the observer and the
 truth advance by one step. The final step is always recorded, stride or
 not, so "final error" summaries are well defined.
 
-run and trajectory share one loop (_steps). Between steps it keeps P_hat and
-the biases as the Python floats of the observer's float update and R_hat as
-the array that the landmark errors and the update (_step_raw, which
-observer_step wraps too) both take. The truth (_truth) is chained on Python
-floats as true_step computes it, with the pose increment and the velocity
-measurements computed once per twist knot, and its landmarks are measured
-one block of at most RECORD_CHUNK steps at a time in one product
-(world._measure, which sense calls with one pose). Each block's noise is
-one draw, sliced in sense's order (world._add_noise, which sense calls for
-one step), and the estimate-free part of each step (W and a row of the
-velocities and the implicit solve's terms) is computed once per block
-(observer._step_inputs), so a loop of observer_step, sense and true_step still
-reproduces trajectory bit for bit. trajectory wraps every step into a
+run and trajectory share one loop (_steps). Between steps it keeps the
+estimate as observer._member lays it out, as the sweep keeps each member, and
+advances it with _step_raw, which observer_step wraps too. The truth (_truth)
+is chained on Python floats as true_step computes it, with the pose increment
+and the velocity measurements computed once per twist knot, and its landmarks
+are measured one block of at most RECORD_CHUNK steps at a time in one product
+(world._measure, which sense calls with one pose). Each block's noise is one
+draw, sliced in sense's order (world._add_noise, which sense calls for one
+step), and the estimate-free part of each step (W and a row of the velocities
+and the implicit solve's terms) is computed once per block
+(observer._step_inputs), so a loop of observer_step, sense and true_step
+still reproduces trajectory bit for bit. trajectory wraps every step into a
 StepSnapshot. run copies each recorded step's values into buffers of
 RECORD_CHUNK records and computes every metric column of a full buffer at
 once (_metric_columns); compute_metrics is the same computation over one
 snapshot, with the same bits. Both evaluate here, where the truth is
-available, the truth-aware diagnostics that observer defines; the
-observer's step never sees the truth. Inputs are validated once, by
-ScenarioConfig.
+available, the truth-aware diagnostics that observer defines; the observer's
+step never sees the truth. Inputs are validated once, by ScenarioConfig.
 
-sweep advances the members that share dt (on every axis but dt, all of
-them) together in one loop (_sweep_group), over one truth and its
-measurement blocks and, on the k_p and gamma_scale axes, one measurement
-stream and one set of step inputs. Between
-steps each member's pose and biases stay the Python floats of its float
-update and the landmark estimates one array stacked on a leading member
-axis; each step is one _stacked_step. A diverging member drops out at that
-step without stopping the others or redoing their update, and each member
-reports its solo run's summary. A gain- or noise-axis member's config is
-checked only in the GainConfig or NoiseSpec that it changes; a k_p or k_w
-member only in that one value.
+sweep advances the members that share dt (on every axis but dt, all of them)
+together in one loop (_sweep_group), over one truth and its measurement
+blocks and, on the k_p and gamma_scale axes, one measurement stream and one
+set of step inputs. Each step is one _stacked_step over the members'
+estimates, their landmark arrays stacked on a leading member axis. A
+diverging member drops out at that step without stopping the others or
+redoing their update, and each member reports its solo run's summary. A gain-
+or noise-axis member's config is checked only in the GainConfig or NoiseSpec
+that it changes; a k_p or k_w member only in that one value.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
@@ -68,6 +65,7 @@ from .observer import (
     _bias_error_rows,
     _energy_raw,
     _errors_raw,
+    _member,
     _pose_error_rows,
     _stacked_step,
     _step_inputs,
@@ -195,19 +193,16 @@ def _truth(config: ScenarioConfig, span: int):
 def _steps(config: ScenarioConfig):
     """The co-simulation loop, for k = 0 .. step_count.
 
-    Yields (k, t, (rot, pos), estimate, (omega_m, v_m, y), e) before the k-th
-    update. estimate is (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat)
-    with R_hat, P_hat and the landmark estimates as the arrays that the
-    errors took and the biases as three Python floats each; e are the
-    landmark errors of that estimate and measurement. No yielded array is
-    modified afterwards, so callers may keep them.
+    Yields (k, t, (rot, pos), state, (omega_m, v_m, y), e) before the k-th
+    update. state is laid out as ObserverState.arrays(), with the biases as
+    three Python floats each; e are the landmark errors of that state and
+    measurement. No yielded array is modified afterwards, so callers may
+    keep them.
     """
     noise, gains = config.noise, config.gains
     rng = noise.make_rng()
-    steps = config.step_count
-    dt = config.dt
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = config.initial_estimates.arrays()
-    estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
+    steps, dt = config.step_count, config.dt
+    stack = _member(config.initial_estimates)
     # A zero determinant gives inf, which the step reports as divergence.
     # Held by the zip alone, a block's inputs are freed before the next's.
     with np.errstate(all="ignore"):
@@ -217,21 +212,21 @@ def _steps(config: ScenarioConfig):
                 block, rots, positions, zip(*measurement),
                 *_step_inputs(measurement, gains.alpha, dt * gains.k_w),
             ):
-                r_hat, p, landmarks_hat, b_omega, b_v = estimate
-                p_hat = np.array(p)
+                (r, p, b_omega, b_v), landmarks_hat = stack
+                r_hat, p_hat = np.array(r).reshape(3, 3), np.array(p)
                 e = _errors_raw(r_hat, p_hat, landmarks_hat, frame[2])
                 yield k, k * dt, (rot, pos), (r_hat, p_hat, landmarks_hat, b_omega, b_v), frame, e
                 if k == steps:
                     break
                 try:
-                    estimate = _step_raw(estimate, (w, u.tolist()), e, gains, dt)
+                    stack = _step_raw(stack, r_hat, (w, u.tolist()), e, gains, dt)
                 except DivergenceError as exc:
                     raise DivergenceError(
                         f"observer diverged at step {k} (t = {k * dt:.6g} s): {exc}", step=k
                     ) from exc
 
 
-def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> StepSnapshot:
+def _snapshot(config: ScenarioConfig, k, t, truth, state, measurement, e) -> StepSnapshot:
     """Wrap one step of _steps into the public value types.
 
     Every value derives from the validated config through the loop, so the
@@ -239,7 +234,7 @@ def _snapshot(config: ScenarioConfig, k, t, truth, estimate, measurement, e) -> 
     measurement are rows of the loop's block arrays; they are copied, so
     that a kept snapshot does not keep its whole block alive.
     """
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state
     rot, pos, omega_m, v_m, y = (a.copy() for a in (*truth, *measurement))
     pose = _trusted(Pose, rotation=_trusted(Rotation3, m=rot), position=pos)
     return StepSnapshot(
@@ -271,10 +266,10 @@ def trajectory(config: ScenarioConfig) -> Iterator[StepSnapshot]:
         yield _snapshot(config, *step)
 
 
-def _metric_columns(rows, truth, estimate, e, config: ScenarioConfig) -> tuple:
+def _metric_columns(rows, truth, state, e, config: ScenarioConfig) -> tuple:
     """Every MetricsRecord column after t, in field order.
 
-    truth is (rot, pos, landmarks), estimate ObserverState.arrays() and e the
+    truth is (rot, pos, landmarks), state ObserverState.arrays() and e the
     landmark errors, of one record or stacked on a leading axis of K records
     (landmarks never is). The landmark-axis columns are numpy calls; the pose
     and bias ones run the float kernels of pose_error, bias_error,
@@ -283,7 +278,7 @@ def _metric_columns(rows, truth, estimate, e, config: ScenarioConfig) -> tuple:
     with the same bits.
     """
     rot, pos, landmarks = truth
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state
     r_hat, rot = (rows(a.reshape(*a.shape[:-2], 9)) for a in (r_hat, rot))
     r_tilde, p_tilde = _pose_error_rows(r_hat, rows(p_hat), rot, rows(pos))
     b_omega_tilde, b_v_tilde = _bias_error_rows(config.bias, rows(b_omega_hat), rows(b_v_hat))
@@ -338,10 +333,10 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
     records = []
     buffers = None
     i = 0
-    for k, t, truth, estimate, _, e in _steps(config):
+    for k, t, truth, state, _, e in _steps(config):
         if k % stride and k != steps:
             continue
-        values = (t, *truth, *estimate, e)
+        values = (t, *truth, *state, e)
         if buffers is None:
             rows = min(RECORD_CHUNK, recorded)
             buffers = [np.empty((rows, *np.shape(v))) for v in values]
@@ -349,10 +344,10 @@ def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
             buffer[i] = value
         i += 1
         if i == len(buffers[0]) or k == steps:
-            t_col, rot, pos, *estimate_cols, e_col = (b[:i] for b in buffers)
+            t_col, rot, pos, *state_cols, e_col = (b[:i] for b in buffers)
             e_norm, p_err, *scalars = _metric_columns(
                 lambda a: np.moveaxis(a, 0, -1),  # (K,) columns
-                (rot, pos, config.landmarks), estimate_cols, e_col, config,
+                (rot, pos, config.landmarks), state_cols, e_col, config,
             )
             records += map(
                 MetricsRecord, t_col.tolist(), e_norm, p_err, *(c.tolist() for c in scalars)
@@ -411,11 +406,12 @@ def settling_time(
 
     Returns None when no window that fits inside the run qualifies; a NaN
     max_e is not below threshold. ValueError unless t and max_e are 1-D of
-    one shape, t is finite, threshold is positive and finite and hold is
-    finite and >= 0.
+    one shape, t is finite, threshold is positive and finite and hold is a
+    real number, finite and >= 0.
     """
     threshold = _as_positive(threshold, "threshold")
-    if not 0.0 <= hold < math.inf:
+    # A str is no hold, and an integer past the float range is not finite.
+    if not (isinstance(hold, numbers.Real) and 0.0 <= hold <= sys.float_info.max):
         raise ValueError(f"hold must be finite and >= 0, got {hold!r}")
     t, max_e = _series(t, max_e, "max_e")
     below = max_e < threshold
@@ -446,15 +442,16 @@ def fit_exponential_decay(t, values) -> tuple[float, float]:
 
     Returns (rate, r_squared) from a linear regression on the log of the
     positive samples; rate > 0 means decay. ValueError unless t and values
-    are finite 1-D arrays of one shape.
+    are finite 1-D arrays of one shape with positive values at two or more
+    distinct times.
     """
     t, v = _series(t, values, "values")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
     mask = v > 0.0
-    if mask.sum() < 2:
-        raise ValueError("need at least two positive samples to fit a decay rate")
     x = t[mask]
+    if np.unique(x).size < 2:
+        raise ValueError("need two positive samples at distinct times to fit a decay rate")
     y = np.log(v[mask])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
@@ -517,17 +514,16 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     draws from its own generator. Members that also share alpha and k_w (the
     k_p and gamma_scale axes) share each block's _step_inputs; otherwise each
     has its own on a member axis, which a member that drops is sliced out of
-    for the rest of the block. Between steps each member's pose and biases
-    stay the Python floats of its float update (R_hat as 9 entries), and only
-    the landmark estimates are one (B, n, 3) array. One _stacked_step call,
-    given the (B, 1) k_p column and the GainConfig list of the members still
-    in the batch, advances them and drops, with that step as its
-    aborted_step, each member whose update leaves the finite range. Only the
-    squared max_e column and the final landmark errors are recorded.
+    for the rest of the block. Between steps each member keeps the layout of
+    observer._member, with every member's landmark estimates in one (B, n, 3)
+    array. One _stacked_step call, given the (B, 1) k_p column and the
+    GainConfig list of the members still in the batch, advances them and
+    drops, with that step as its aborted_step, each member whose update leaves
+    the finite range. Only the squared max_e column and the final landmark
+    errors are recorded.
     """
     base = configs[0]
     steps, dt = base.step_count, base.dt
-    landmarks = base.landmarks
     gains = [c.gains for c in configs]
     k_p = np.array([[g.k_p] for g in gains])
     shared = len({(c.noise, c.gains.k_w, c.gains.alpha.tobytes()) for c in configs}) == 1
@@ -537,10 +533,9 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
     span = RECORD_CHUNK if shared else max(1, RECORD_CHUNK // (4 * len(configs)))
     noises = {c.noise for c in configs}
     streams = [(c.noise, c.noise.make_rng()) for c in (configs if len(noises) > 1 else configs[:1])]
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = base.initial_estimates.arrays()
-    member = (r_hat.ravel().tolist(), p_hat.tolist(), b_omega_hat.tolist(), b_v_hat.tolist())
+    member, landmarks_hat = _member(base.initial_estimates)
     members = [member] * len(configs)
-    landmarks_hat = np.repeat(landmarks_hat[None], len(configs), axis=0)
+    landmarks_hat = np.stack([landmarks_hat] * len(configs))
     alive = np.arange(len(configs))
     aborted: list[int | None] = [None] * len(configs)
     # The squares of max_e: sqrt is monotone and correctly rounded, so the
@@ -591,7 +586,7 @@ def _sweep_group(configs: list[ScenarioConfig]) -> list[tuple]:
             if not alive.size:
                 break
     t = np.arange(steps + 1) * dt
-    p_err = _error_norms(landmarks - landmarks_hat).max(axis=-1)
+    p_err = _error_norms(base.landmarks - landmarks_hat).max(axis=-1)
     summaries = [(None, math.nan, math.nan, step) for step in aborted]
     for j, i in enumerate(alive):
         column = np.sqrt(max_e_squared[:, i])

@@ -37,13 +37,13 @@ shared by one observer (_step_raw) and by observers stacked on a leading
 member axis (_stacked_step). The 3-vector and 3x3 algebra (the solve's
 application to G, the corrected twist, the exponential, the projection, the
 position and bias updates) runs on Python floats, a 3x3 matrix as its 9
-row-major entries, one observer at a time (_member_update). One observer's
-step (_step_raw, which observer_step and the harness loop call) takes and
-returns P_hat and the biases as those floats and R_hat as the array that the
-landmark-axis formulas take; a stack keeps each member's pose and biases as
-those floats between steps and loops over its members, so a stacked member
-runs its solo step's code, and a member whose update leaves the finite range
-drops out of the stack alone.
+row-major entries, one observer at a time (_member_update). Between steps
+an estimate is one member, its pose and biases as those floats, plus its
+landmark array (_member): _step_raw, which observer_step and the harness
+loop call, advances one; _stacked_step advances members stacked on a
+leading axis and loops over them, so a stacked member runs its solo step's
+code, and a member whose update leaves the finite range drops out of the
+stack alone.
 
 observer_step is a pure function from state to state; runs are sequential but
 independent observers can execute concurrently.
@@ -405,14 +405,25 @@ def observer_step(
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'explicit' or 'implicit'")
     _check_gain_count(gains, state.count)
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
-    estimate = (r_hat, p_hat.tolist(), landmarks_hat, b_omega_hat.tolist(), b_v_hat.tolist())
     with np.errstate(all="ignore"):
         e = landmark_errors(state, frame)
         w, u = _step_inputs((frame.omega_m, frame.v_m, frame.y), gains.alpha, dt * gains.k_w)
         row = u.tolist() if scheme == "implicit" else u[:6].tolist()
-        r_new, *rest = _step_raw(estimate, (w, row), e, gains, dt)
-    return ObserverState(_trusted(Rotation3, m=r_new), *rest)
+        (r, p, b_omega, b_v), landmarks = _step_raw(
+            _member(state), state.r_hat.m, (w, row), e, gains, dt
+        )
+    return ObserverState(
+        _trusted(Rotation3, m=np.array(r).reshape(3, 3)), p, landmarks, b_omega, b_v
+    )
+
+
+def _member(state: ObserverState) -> tuple:
+    """The estimate as the step carries it between steps, (member,
+    landmarks_hat): member is (r_hat, p_hat, b_omega_hat, b_v_hat) as
+    _member_update takes and returns it, on Python floats with R_hat as its
+    9 row-major entries, and landmarks_hat the (n, 3) array."""
+    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = state.arrays()
+    return tuple(a.ravel().tolist() for a in (r_hat, p_hat, b_omega_hat, b_v_hat)), landmarks_hat
 
 
 def _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt: float) -> tuple:
@@ -426,38 +437,32 @@ def _landmark_part(r_hat, landmarks_hat, w, e, e_squared, k_p, dt: float) -> tup
     )
 
 
-def _step_raw(estimate: tuple, inputs: tuple, e: np.ndarray, gains: GainConfig, dt: float) -> tuple:
+def _step_raw(stack, r_hat, inputs, e, gains: GainConfig, dt: float) -> tuple:
     """observer_step on raw values, given the errors e of this state and frame.
 
-    estimate is (r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat) with
-    R_hat and the landmark estimates as the arrays that the landmark-axis
-    formulas take, and P_hat and the biases as the three Python floats each
-    that _member_update takes and returns; the result is the estimate after
-    the step in the same layout. inputs is (w, row): W and the step's row
-    of _step_inputs as a list of Python floats, its first six entries alone
-    for the explicit scheme. Inputs are not validated, and the caller holds
-    np.errstate so that an overflow surfaces as a DivergenceError, not as a
-    warning. The pose and bias update runs on Python floats, where numpy's
-    call overhead would cost more than its 3-vector and 3x3 arithmetic.
+    stack is (member, landmarks_hat) as _member lays it out, and r_hat the
+    member's R_hat as the (3, 3) array that the landmark-axis formulas take;
+    returns the stack after the step. inputs is (w, row): W and the step's
+    row of _step_inputs as a list of Python floats, its first six entries
+    alone for the explicit scheme. Inputs are not validated, and the caller
+    holds np.errstate so that an overflow surfaces as a DivergenceError, not
+    as a warning.
     """
-    r_hat, p_hat, landmarks_hat, b_omega_hat, b_v_hat = estimate
+    member, landmarks_hat = stack
     w, row = inputs
     e_squared = (e * e).sum(axis=-1)
     g, landmarks_new = _landmark_part(r_hat, landmarks_hat, w, e, e_squared, gains.k_p, dt)
-    r_new, p_new, b_omega_new, b_v_new = _member_update(
-        (r_hat.ravel().tolist(), p_hat, b_omega_hat, b_v_hat), row, g.ravel().tolist(), gains, dt
-    )
+    member = _member_update(member, row, g.ravel().tolist(), gains, dt)
     if not np.isfinite(landmarks_new).all():
         raise DivergenceError("observer state overflowed; reduce dt or the gains")
-    return np.array(r_new).reshape(3, 3), p_new, landmarks_new, b_omega_new, b_v_new
+    return member, landmarks_new
 
 
 def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfig], dt):
     """_step_raw for B members stacked on a leading axis.
 
-    stack is (members, landmarks_hat): each member's (r_hat, p_hat,
-    b_omega_hat, b_v_hat) as _member_update takes and returns it, and every
-    member's landmarks_hat in one (B, n, 3) array.
+    stack is (members, landmarks_hat): each member as _member lays it out,
+    and every member's landmarks_hat in one (B, n, 3) array.
     r_hat holds the members' rotations as one (B, 3, 3) array, e their
     landmark errors and e_squared the errors' squared norms. inputs is
     (w, rows): W, shared or on the member axis, and the members' rows as in
@@ -487,7 +492,8 @@ def _stacked_step(stack, r_hat, inputs, e, e_squared, k_p, gains: list[GainConfi
 
 
 def _member_update(member, row, g, gains: GainConfig, dt) -> tuple:
-    """The pose and bias part of one member's step, on Python floats.
+    """The pose and bias part of one member's step, on Python floats: numpy's
+    call overhead would cost more than this 3-vector and 3x3 arithmetic.
 
     member is (r, p, b_omega, b_v) on Python floats, r as its 9 row-major
     entries, row is as in _step_raw, g the 12 entries of G, and gains the

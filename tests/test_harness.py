@@ -591,16 +591,20 @@ class TestSettlingTime:
             ({"hold": -1.0}, "hold must be finite and >= 0, got -1.0"),
             ({"hold": math.nan}, "hold must be finite and >= 0, got nan"),
             ({"hold": math.inf}, "hold must be finite and >= 0, got inf"),
+            ({"hold": 10**400}, "hold must be finite and >= 0, got 1000"),
+            ({"hold": "1"}, "hold must be finite and >= 0, got '1'"),
             ({"threshold": math.nan}, "threshold must be positive and finite, got nan"),
             ({"threshold": 0.0}, "threshold must be positive and finite, got 0.0"),
             ({"threshold": -0.05}, "threshold must be positive and finite, got -0.05"),
             ({"threshold": math.inf}, "threshold must be positive and finite, got inf"),
         ],
-        ids=["negative-hold", "nan-hold", "inf-hold", "nan-threshold", "zero-threshold",
-             "negative-threshold", "inf-threshold"],
+        ids=["negative-hold", "nan-hold", "inf-hold", "huge-integer-hold", "str-hold",
+             "nan-threshold", "zero-threshold", "negative-threshold", "inf-threshold"],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
-        # A negative hold read 0.0 and a NaN hold or threshold None.
+        # A negative hold read 0.0 and a NaN hold or threshold None; an
+        # integer past the float range overflowed in the loop, a str failed
+        # the comparison with a TypeError.
         t = np.arange(0.0, 5.0, 0.1)
         with pytest.raises(ValueError, match=message):
             settling_time(t, np.full_like(t, 0.01), **kwargs)
@@ -642,8 +646,9 @@ class TestFit:
             ([0.0, math.nan, 2.0], [1.0, 0.5, 0.25], "t must be finite"),
             ([0.0, 1.0, 2.0], [1.0, math.inf, 0.25], "values must be finite"),
             ([0.0, 1.0, 2.0], [1.0, math.nan, 0.25], "values must be finite"),
+            ([1.0, 1.0], [1.0, 2.0], "two positive samples at distinct times"),
         ],
-        ids=["lengths", "2-d", "nan-time", "inf-value", "nan-value"],
+        ids=["lengths", "2-d", "nan-time", "inf-value", "nan-value", "one-time"],
     )
     def test_rejects_bad_series(self, t, values, message):
         with pytest.raises(ValueError, match=message):

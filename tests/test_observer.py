@@ -459,20 +459,39 @@ def _inputs(measurement, gains, dt, implicit):
     return w[0], u[0].tolist() if implicit else u[0, :6].tolist()
 
 
+def _as_member(estimate):
+    """An estimate laid out as ObserverState.arrays() as the step's member:
+    its pose and biases as flat tuples of Python floats, R_hat as its 9
+    row-major entries (observer._member)."""
+    r, p, _, bo, bv = estimate
+    return tuple(a.ravel().tolist() for a in (r, p, bo, bv))
+
+
+def _as_arrays(member, landmarks):
+    """The inverse of _as_member, with the landmark array put back."""
+    r, p, bo, bv = member
+    return np.array(r).reshape(3, 3), np.array(p), landmarks, np.array(bo), np.array(bv)
+
+
+def _solo_step(estimate, inputs, e, gains, dt):
+    """observer._step_raw on an estimate laid out as ObserverState.arrays();
+    returns the new estimate in the same layout."""
+    stack = _as_member(estimate), estimate[2]
+    return _as_arrays(*observer._step_raw(stack, estimate[0], inputs, e, gains, dt))
+
+
 def _run_stack(estimates, measurement, e, gains, dt, implicit):
     """observer._stacked_step on per-member estimates laid out as
     ObserverState.arrays(), with a stacked or shared measurement, the
     members' k_p column and their GainConfigs.
 
-    The stack holds each member's pose and biases as one flat tuple of
-    Python floats, R_hat as its 9 row-major entries, and every member's
-    landmarks in one array, as the sweep keeps them; W and
+    The stack holds each member as _as_member lays it out and every
+    member's landmarks in one array, as the sweep keeps them; W and
     the rows come from one _step_inputs call over a one-step block with a
     member axis. Returns the new estimate of each member that stayed finite,
     as arrays in the same layout, and the mask of the members that did not.
     """
-    members = [tuple(a.ravel().tolist() for a in (r, p, bo, bv)) for r, p, _, bo, bv in estimates]
-    stack = members, np.stack([estimate[2] for estimate in estimates])
+    stack = [*map(_as_member, estimates)], np.stack([estimate[2] for estimate in estimates])
     r_hat = np.stack([estimate[0] for estimate in estimates])
     gains = list(gains)
     omega_m, v_m, y = measurement
@@ -489,10 +508,7 @@ def _run_stack(estimates, measurement, e, gains, dt, implicit):
         stack, r_hat, (w[0], rows), e, (e * e).sum(axis=-1), k_p, gains, dt
     )
     assert len(members) == len(landmarks_hat) == (~failed).sum()
-    return [
-        (np.array(r).reshape(3, 3), np.array(p), landmarks, np.array(bo), np.array(bv))
-        for (r, p, bo, bv), landmarks in zip(members, landmarks_hat)
-    ], failed
+    return [*map(_as_arrays, members, landmarks_hat)], failed
 
 
 def _stacked_measurement(measurements):
@@ -679,7 +695,7 @@ class TestMemberStepProperty:
         )
         assert not failed.any()
         for i, ((estimate, e, member_gains), m) in enumerate(zip(members, measurements)):
-            solo = observer._step_raw(
+            solo = _solo_step(
                 estimate, _inputs(m, member_gains, 0.01, implicit), e, member_gains, 0.01
             )
             for got, want in zip(batch[i], solo):
@@ -705,7 +721,7 @@ class TestMemberDivergence:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(DivergenceError, match="correction terms overflowed"):
-                    observer._step_raw(
+                    _solo_step(
                         estimate, _inputs(measurement, gains, 0.01, implicit), e, gains, 0.01
                     )
 
@@ -716,7 +732,7 @@ class TestMemberDivergence:
         monkeypatch.setattr(observer, "_exp_floats", overflow)
         estimates, measurements, e, gains = _stack_members(rng)
         with pytest.raises(DivergenceError) as info:
-            observer._step_raw(
+            _solo_step(
                 estimates[2], _inputs(measurements[2], gains[2], 0.01, True), e[2], gains[2], 0.01
             )
         assert isinstance(info.value.__cause__, OverflowError)
@@ -726,7 +742,7 @@ class TestMemberDivergence:
         estimates, measurements, e, gains = _stack_members(rng)
         dt = 0.01
         solo = [
-            observer._step_raw(
+            _solo_step(
                 estimates[i], _inputs(measurements[i], gains[i], dt, True), e[i], gains[i], dt
             )
             for i in (0, 2)

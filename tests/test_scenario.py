@@ -449,6 +449,12 @@ _points = st.lists(
 _values = _json | _number | st.lists(_number, min_size=3, max_size=3) | _points
 
 
+def _index_in(key, parent) -> bool:
+    """Whether parent is a list and key one of its indices; an earlier edit
+    may have put a list where a path names a dict key."""
+    return isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+
+
 @st.composite
 def edited_scenarios(draw):
     """FULL with one to three locations replaced by JSON-like values or deleted."""
@@ -457,7 +463,7 @@ def edited_scenarios(draw):
         parent = data
         for key in path[:-1]:
             inside = isinstance(parent, dict) and key in parent
-            inside = inside or (isinstance(parent, list) and key < len(parent))
+            inside = inside or _index_in(key, parent)
             if not inside:
                 break
             parent = parent[key]
@@ -465,7 +471,7 @@ def edited_scenarios(draw):
             key = path[-1]
             if isinstance(parent, dict) and key in parent and draw(st.integers(0, 4)) == 0:
                 del parent[key]
-            elif isinstance(parent, dict) or (isinstance(parent, list) and key < len(parent)):
+            elif isinstance(parent, dict) or _index_in(key, parent):
                 parent[key] = draw(_values)
     return data
 
