@@ -2,18 +2,18 @@
 
 Hat/vee maps between 3-vectors and skew-symmetric matrices, closed-form
 exponential maps (Rodrigues plus the left Jacobian for the translation part),
-the normalized rotation distance, and a polar re-orthonormalization used to
-repair drift after long chains of products. A chain of pose advances
-(_advance) projects its rotation only once an entry of R^T R - I reaches
-DRIFT_TOL: one product of two rotations drifts by about 1e-16, so 6 of the
-10,001 advances of a 5 s paper-sec5 run project, and R R^T - I stays below
-about 3e-13 in the Frobenius norm.
+the normalized rotation distance, and one polar projection onto the
+rotations, the SVD polar factor (_project_svd). project_orthonormal applies
+it to any input; a chain of pose advances (_advance) takes it only once an
+entry of R^T R - I reaches DRIFT_TOL: one product of two rotations drifts by
+about 1e-16, so 6 of the 10,001 advances of a 5 s paper-sec5 run project,
+and R R^T - I stays below about 3e-13 in the Frobenius norm.
 
-The step kernels (_exp_floats, _increment_raw, _mul3, _project_rows, _advance)
-run on Python floats, a 3x3 matrix as one row-major tuple of 9 entries, as
-numpy's per-call overhead costs far more than 3x3 arithmetic; the public
-functions here reshape at their boundary and call them, one body per formula.
-The metric kernels (_mul3, _distance_rows, _norm3, _quadratic3) also run
+The step kernels (_exp_floats, _increment_raw, _mul3, _advance) run on
+Python floats, a 3x3 matrix as one row-major tuple of 9 entries, as numpy's
+per-call overhead costs far more than 3x3 arithmetic; the public functions
+here reshape at their boundary and call them, one body per formula. The
+metric kernels (_mul3, _distance_rows, _norm3, _quadratic3) also run
 unchanged on (K,) columns of entries, one per record.
 
 Everything here is a pure function over immutable values; there is no shared
@@ -59,8 +59,24 @@ def _as_positive(value, name: str) -> float:
     return value
 
 
+def _as_floats(v, name: str) -> np.ndarray:
+    """np.asarray(v, dtype=float), or ValueError naming v for an int past the float range."""
+    try:
+        return np.asarray(v, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number too large for a float") from None
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, or a phrase for an int of over 4,300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer too long to print"
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _as_floats(v, name)
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -69,7 +85,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
 
 
 def _as_rows3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _as_floats(v, name)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"{name} must be an (n, 3) array, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -104,7 +120,7 @@ class Rotation3:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
+        m = _as_floats(self.m, "rotation")
         if m.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {m.shape}")
         object.__setattr__(self, "m", m)
@@ -176,7 +192,7 @@ def hat3(v) -> np.ndarray:
 
 def vee3(s) -> np.ndarray:
     """Inverse of hat3. Rejects matrices whose symmetric part exceeds SKEW_TOL."""
-    m = np.asarray(s, dtype=float)
+    m = _as_floats(s, "skew matrix")
     if m.shape != (3, 3):
         raise ValueError(f"skew matrix must be 3x3, got shape {m.shape}")
     sym = np.abs(m + m.T).max()
@@ -305,58 +321,32 @@ def _mul3(a, b) -> tuple:
     )
 
 
-def _project_rows(a, keep=0.0) -> tuple:
-    """Polar projection of one 3x3 matrix as 9 row-major Python floats,
-    without input validation (see project_orthonormal); returns its 9 entries.
+def _advance(r, p, step_rot, step_pos) -> tuple[tuple, tuple]:
+    """The pose (r, p) moved by a body-frame increment, on Python floats with
+    rotations as 9 entries: r step_rot, and r step_pos + p.
 
-    With E = a^T a - I: a itself when every entry of E lies strictly within
-    keep of 0 and det a > 0 (never for keep = 0); otherwise, within 1e-5 of
-    orthonormal with a positive determinant, the series a (I - E / 2 + 3 E^2 / 8)
-    of a (a^T a)^(-1/2), whose error is O(||E||^3) <= 1e-15; any other input
-    goes through _project_svd.
+    The product a = r step_rot is kept while every entry of E = a^T a - I lies
+    strictly within DRIFT_TOL and det a > 0; otherwise it is replaced by its
+    polar factor (_project_svd), and a NaN entry reaches _project_svd too. A
+    product of two rotations leaves SO(3) by about 1e-16, so a chain projects
+    rarely (6 of 10,001 advances of a 5 s paper-sec5 run) and keeps
+    ||R R^T - I||_F below about 3e-13. The gate reads the state alone, so
+    equal inputs give equal bits.
     """
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    (s0, s1, s2), (p0, p1, p2) = step_pos, p
+    a = a00, a01, a02, a10, a11, a12, a20, a21, a22 = _mul3(r, step_rot)
     e00 = a00 * a00 + a10 * a10 + a20 * a20 - 1.0
     e11 = a01 * a01 + a11 * a11 + a21 * a21 - 1.0
     e22 = a02 * a02 + a12 * a12 + a22 * a22 - 1.0
     e01 = a00 * a01 + a10 * a11 + a20 * a21
     e02 = a00 * a02 + a10 * a12 + a20 * a22
     e12 = a01 * a02 + a11 * a12 + a21 * a22
-    det = _det3(a)
-    # A NaN entry fails these comparisons, as it fails np.abs(e).max() < 1e-5.
-    if (
-        -keep < e00 < keep and -keep < e11 < keep and -keep < e22 < keep
-        and -keep < e01 < keep and -keep < e02 < keep and -keep < e12 < keep and det > 0.0
-    ):
-        return a
-    if not (
-        -1e-5 < e00 < 1e-5 and -1e-5 < e11 < 1e-5 and -1e-5 < e22 < 1e-5
-        and -1e-5 < e01 < 1e-5 and -1e-5 < e02 < 1e-5 and -1e-5 < e12 < 1e-5 and det > 0.0
-    ):
-        return _project_svd(np.array(a).reshape(3, 3)).ravel().tolist()
-    s00 = 1.0 - 0.5 * e00 + 0.375 * (e00 * e00 + e01 * e01 + e02 * e02)
-    s11 = 1.0 - 0.5 * e11 + 0.375 * (e01 * e01 + e11 * e11 + e12 * e12)
-    s22 = 1.0 - 0.5 * e22 + 0.375 * (e02 * e02 + e12 * e12 + e22 * e22)
-    s01 = -0.5 * e01 + 0.375 * (e00 * e01 + e01 * e11 + e02 * e12)
-    s02 = -0.5 * e02 + 0.375 * (e00 * e02 + e01 * e12 + e02 * e22)
-    s12 = -0.5 * e12 + 0.375 * (e01 * e02 + e11 * e12 + e12 * e22)
-    return _mul3(a, (s00, s01, s02, s01, s11, s12, s02, s12, s22))
-
-
-def _advance(r, p, step_rot, step_pos) -> tuple[tuple, tuple]:
-    """The pose (r, p) moved by a body-frame increment, on Python floats with
-    rotations as 9 entries: r step_rot, and r step_pos + p.
-
-    The product r step_rot is projected (_project_rows) only once it has
-    drifted: when an entry of its E = a^T a - I reaches DRIFT_TOL, or its
-    determinant is not positive. A product of two rotations leaves SO(3) by
-    about 1e-16, so a chain projects rarely (6 of 10,001 advances of a 5 s
-    paper-sec5 run) and keeps ||R R^T - I||_F below about 3e-13. The gate
-    reads the state alone, so equal inputs give equal bits.
-    """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    (s0, s1, s2), (p0, p1, p2) = step_pos, p
-    return _project_rows(_mul3(r, step_rot), DRIFT_TOL), (
+    tol = DRIFT_TOL
+    if not (-tol < e00 < tol and -tol < e11 < tol and -tol < e22 < tol and -tol < e01 < tol
+            and -tol < e02 < tol and -tol < e12 < tol and _det3(a) > 0.0):
+        a = _project_svd(np.array(a).reshape(3, 3)).ravel().tolist()
+    return a, (
         r00 * s0 + r01 * s1 + r02 * s2 + p0,
         r10 * s0 + r11 * s1 + r12 * s2 + p1,
         r20 * s0 + r21 * s1 + r22 * s2 + p2,
@@ -364,7 +354,8 @@ def _advance(r, p, step_rot, step_pos) -> tuple[tuple, tuple]:
 
 
 def _project_svd(a: np.ndarray) -> np.ndarray:
-    """Polar projection of one 3x3 matrix through the SVD, det +1."""
+    """Polar projection of one 3x3 matrix through the SVD, det +1: the module's
+    one projection, without input validation (see project_orthonormal)."""
     u, s, vt = np.linalg.svd(a)
     if not s[-1] > 1e-12:
         raise ValueError(f"matrix is singular (smallest singular value {s[-1]:.3e})")
@@ -378,14 +369,13 @@ def _project_svd(a: np.ndarray) -> np.ndarray:
 def project_orthonormal(m) -> Rotation3:
     """Nearest rotation to a 3x3 matrix (orthonormal polar factor, det +1).
 
-    Every input is projected, however small its drift. Near-orthonormal inputs
-    take a cheap series path; anything else goes through an SVD with
-    determinant correction. Rejects degenerate input (non-positive smallest
-    singular value).
+    Every input is projected, however small its drift, through the SVD with
+    determinant correction (_project_svd). Rejects degenerate input
+    (smallest singular value at or below 1e-12).
     """
-    a = np.asarray(m, dtype=float)
+    a = _as_floats(m, "matrix")
     if a.shape != (3, 3):
         raise ValueError(f"matrix must be 3x3, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
-    return Rotation3(np.array(_project_rows(a.ravel().tolist())).reshape(3, 3))
+    return Rotation3(_project_svd(a))

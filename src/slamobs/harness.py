@@ -52,10 +52,12 @@ from .geometry import (
     Pose,
     Rotation3,
     _advance,
+    _as_floats,
     _as_positive,
     _distance_rows,
     _increment_raw,
     _norm3,
+    _shown,
     _trusted,
 )
 from .observer import (
@@ -317,7 +319,7 @@ def _check_stride(stride) -> None:
     """ValueError unless stride is an integer >= 1 (the one rule, also the CLI's)."""
     # An integral type only, as for NoiseSpec's seed: nan or 2.5 is no stride.
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+        raise ValueError(f"stride must be an integer >= 1, got {_shown(stride)}")
 
 
 def run(config: ScenarioConfig, stride: int = 1) -> list[MetricsRecord]:
@@ -412,7 +414,7 @@ def settling_time(
     threshold = _as_positive(threshold, "threshold")
     # A str is no hold, and an integer past the float range is not finite.
     if not (isinstance(hold, numbers.Real) and 0.0 <= hold <= sys.float_info.max):
-        raise ValueError(f"hold must be finite and >= 0, got {hold!r}")
+        raise ValueError(f"hold must be finite and >= 0, got {_shown(hold)}")
     t, max_e = _series(t, max_e, "max_e")
     below = max_e < threshold
     start = None
@@ -429,7 +431,7 @@ def settling_time(
 
 def _series(t, values, name: str) -> tuple[np.ndarray, np.ndarray]:
     """t and values as 1-D float arrays of one shape with t finite, or ValueError."""
-    t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    t, values = _as_floats(t, "t"), _as_floats(values, name)
     if t.ndim != 1 or t.shape != values.shape:
         raise ValueError(f"t and {name} must be 1-D of one shape: {t.shape}, {values.shape}")
     if not np.isfinite(t).all():
@@ -489,7 +491,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[SweepResult]:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
     if isinstance(values, (str, bytes)):
         raise ValueError(f"values must be a sequence of numbers, got {values!r}")
-    values = [float(v) for v in values]
+    values = [float(_as_floats(v, "values")) for v in values]
     # GainConfig's finite checks, not a numpy warning, reject a scaled gain
     # that overflows or is NaN.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,9 +22,9 @@ before they enter the twist and the bias update, which removes that limit.
 Neither scheme iterates. observer_step defaults to the explicit scheme, the
 literal discretization of the continuous law; the scenario runner
 (harness.trajectory) steps with the implicit one. The rotation estimate is
-projected back onto the orthonormal manifold once it drifts: when an entry
-of R_hat^T R_hat - I reaches geometry.DRIFT_TOL = 1e-13 (geometry._advance),
-in 6 of 10,001 pose advances of a 5 s paper-sec5 run.
+replaced by its SVD polar factor, the nearest rotation, once it drifts: when
+an entry of R_hat^T R_hat - I reaches geometry.DRIFT_TOL = 1e-13
+(geometry._advance), in 6 of 10,001 pose advances of a 5 s paper-sec5 run.
 
 The step splits first by what depends on the estimate. The alpha-weighted rows
 W of y, their Gram (_weights) and the part of the implicit solve that these
@@ -66,6 +66,7 @@ import numpy as np
 from .geometry import (
     Rotation3,
     _advance,
+    _as_floats,
     _as_positive,
     _as_vec3,
     _exp_floats,
@@ -134,7 +135,7 @@ class GainConfig:
     def __post_init__(self) -> None:
         for name in ("k_p", "k_w"):
             object.__setattr__(self, name, _as_positive(getattr(self, name), name))
-        g = np.asarray(self.gamma, dtype=float)
+        g = _as_floats(self.gamma, "gamma")
         if g.shape == ():
             # Not g * I: an infinite g times the zero off-diagonals would warn.
             g = np.diag(np.full(3, float(g)))
@@ -152,7 +153,7 @@ class GainConfig:
         if not smallest > 0.0:
             raise ValueError(f"gamma must be positive definite (smallest eigenvalue {smallest!r})")
         object.__setattr__(self, "gamma", g)
-        a = np.asarray(self.alpha, dtype=float).reshape(-1)
+        a = _as_floats(self.alpha, "alpha").reshape(-1)
         if not ((a > 0.0) & (a < math.inf)).all():
             raise ValueError(f"all alpha values must be positive and finite, got {a}")
         object.__setattr__(self, "alpha", a)
@@ -216,7 +217,7 @@ def adaptation_gain(e, k_p: float) -> float | np.ndarray:
     one gain per row.
     """
     k_p = _as_positive(k_p, "k_p")
-    a = np.asarray(e, dtype=float)
+    a = _as_floats(e, "e")
     return _gain_of_squares((a * a).sum(axis=-1), k_p)
 
 
@@ -233,7 +234,7 @@ def error_geometry(e, k_p: float) -> LandmarkError:
     k_p / (1 + trace(r_e)). ValueError unless ||e|| is finite.
     """
     k_p = _as_positive(k_p, "k_p")
-    a = np.asarray(e, dtype=float).reshape(3)
+    a = _as_floats(e, "e").reshape(3)
     norm = math.sqrt(a.dot(a))  # np.linalg.norm's own arithmetic, without its overhead
     if norm == 0.0:
         return LandmarkError(a, 0.0, None, Rotation3.identity(), k_p / 4.0)
@@ -544,7 +545,7 @@ def lyapunov_value(
     noise-free run certifies the observer is converging; it is a diagnostic
     only and never feeds back into the estimates.
     """
-    e = np.asarray(errors, dtype=float)
+    e = _as_floats(errors, "errors")
     if e.shape != (gains.count, 3):
         raise ValueError(f"errors must be a ({gains.count}, 3) array, got shape {e.shape}")
     b_tilde = _bias_error_rows(true_bias, state.b_omega_hat.tolist(), state.b_v_hat.tolist())

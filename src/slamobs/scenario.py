@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose, Rotation3, Twist, _as_positive, _increment_raw
+from .geometry import Pose, Rotation3, Twist, _as_floats, _as_positive, _increment_raw
 from .observer import GainConfig, ObserverState, _check_gain_count
 from .world import NoiseSpec, SensorBias, _as_landmarks, _check_landmark_bias
 
@@ -71,7 +71,7 @@ class TwistProfile:
         if not self.knots:
             raise ScenarioError("twist profile needs at least one knot")
         times = [k[0] for k in self.knots]
-        if not all(math.isfinite(t) for t in times):
+        if not np.isfinite(_as_floats(times, "twist knot times")).all():
             raise ScenarioError(f"twist knot times must be finite, got {times}")
         if times[0] > 0.0:
             raise ScenarioError(f"first twist knot must start at t <= 0, got t = {times[0]}")

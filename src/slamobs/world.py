@@ -28,10 +28,12 @@ from .geometry import (
     Rotation3,
     Twist,
     _advance,
+    _as_floats,
     _as_positive,
     _as_rows3,
     _as_vec3,
     _increment_raw,
+    _shown,
     _trusted,
 )
 
@@ -101,7 +103,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         for name in ("sigma_omega", "sigma_v", "sigma_y"):
-            value = float(getattr(self, name))
+            value = float(_as_floats(getattr(self, name), name))
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
             object.__setattr__(self, name, value)
@@ -110,7 +112,7 @@ class NoiseSpec:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         seed = int(self.seed)
         if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+            raise ValueError(f"seed must be a nonnegative integer, got {_shown(seed)}")
         object.__setattr__(self, "seed", seed)
 
     def make_rng(self) -> np.random.Generator:
@@ -132,7 +134,10 @@ class SensorFrame:
         object.__setattr__(self, "omega_m", _as_vec3(self.omega_m, "omega_m"))
         object.__setattr__(self, "v_m", _as_vec3(self.v_m, "v_m"))
         object.__setattr__(self, "y", _as_rows3(self.y, "y"))
-        object.__setattr__(self, "t", float(self.t))
+        t = float(_as_floats(self.t, "t"))
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+        object.__setattr__(self, "t", t)
 
     @property
     def count(self) -> int:
@@ -149,7 +154,7 @@ def true_step(state: TrueState, u: Twist, dt: float) -> TrueState:
     """Advance the true pose by the exact exponential of the twist over dt.
 
     Landmarks are fixed and carried through untouched; the rotation is
-    projected back onto the rotations once an entry of R^T R - I reaches
+    replaced by its SVD polar factor once an entry of R^T R - I reaches
     geometry.DRIFT_TOL = 1e-13 (geometry._advance), so orthonormality cannot
     drift over long runs, and a step rarely pays for the projection. The
     arithmetic runs on Python floats, as in the harness's chained truth. An

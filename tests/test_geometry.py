@@ -276,6 +276,13 @@ class TestProjectOrthonormal:
         r = project_orthonormal(np.diag([1.0, 1.0, -1.0]))
         assert abs(np.linalg.det(r.m) - 1.0) <= 1e-12
 
+    def test_near_orthonormal_input_takes_the_svd(self, rng):
+        # The input a series of E = m^T m - I would have served: one SVD
+        # polar factor, bit for bit.
+        m = so3_exp(rng.normal(size=3)).m * (1.0 + 3e-7)
+        assert 1e-7 < _drift(m) < 1e-5
+        assert (project_orthonormal(m).m == geometry._project_svd(m)).all()
+
     def test_projects_drift_inside_the_chain_tolerance(self):
         # Only _advance skips the projection below DRIFT_TOL; an explicit
         # call projects whatever it is given.
@@ -288,55 +295,47 @@ class TestProjectOrthonormal:
 
 
 class TestAdvance:
-    @pytest.mark.parametrize("case", ["outside-band", "reflection"])
-    def test_svd_fallback_equals_project_svd(self, rng, case):
-        # r step_rot leaves the series' domain: 1% off orthonormal, or
-        # orthonormal with det -1. Either takes _project_svd of the product.
-        r = so3_exp(rng.normal(size=3)).m
-        r = 1.01 * r if case == "outside-band" else r @ np.diag([1.0, 1.0, -1.0])
-        step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 0.1)
-        r9, p = r.ravel().tolist(), [0.5, -1.0, 2.0]
-        product = np.array(geometry._mul3(r9, step[0])).reshape(3, 3)
-        outside = np.abs(product.T @ product - np.eye(3)).max() > 1e-5
-        assert outside if case == "outside-band" else np.linalg.det(product) <= 0.0
-        rot, pos = geometry._advance(r9, p, *step)
-        assert list(rot) == geometry._project_svd(product).ravel().tolist()
-        assert np.allclose(pos, r @ np.array(step[1]) + p, rtol=0.0, atol=1e-12)
-
     @pytest.mark.parametrize(
-        "scale, projected", [(1.0 + 2e-14, False), (1.0 + 1e-13, True)], ids=["below", "above"]
+        "scale, reflect, projected",
+        [(1.0 + 2e-14, False, False), (1.0 + 1e-13, False, True), (1.01, False, True),
+         (1.0, True, True)],
+        ids=["below", "above", "outside-band", "reflection"],
     )
-    def test_projects_only_past_the_drift_tolerance(self, rng, scale, projected):
-        # Entries of E = a^T a - I near 4e-14 stay below DRIFT_TOL, near 2e-13
-        # above it; above, the product takes the series of _project_rows.
-        r9 = (so3_exp(rng.normal(size=3)).m * scale).ravel().tolist()
+    def test_projects_only_past_the_drift_tolerance(self, rng, scale, reflect, projected):
+        # Entries of E = a^T a - I near 4e-14 stay below DRIFT_TOL; near 2e-13,
+        # 1% off orthonormal, or orthonormal with det -1, the product takes
+        # _project_svd.
+        r = so3_exp(rng.normal(size=3)).m * scale
+        r9 = (r @ np.diag([1.0, 1.0, -1.0]) if reflect else r).ravel().tolist()
         step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 0.1)
         product = geometry._mul3(r9, step[0])
-        assert (_drift(product) >= geometry.DRIFT_TOL) == projected
-        rot, _ = geometry._advance(r9, [0.5, -1.0, 2.0], *step)
-        assert list(rot) == list(geometry._project_rows(product) if projected else product)
+        m = np.reshape(product, (3, 3))
+        assert (_drift(m) >= geometry.DRIFT_TOL or np.linalg.det(m) <= 0.0) == projected
+        rot, pos = geometry._advance(r9, [0.5, -1.0, 2.0], *step)
+        svd = geometry._project_svd(m).ravel().tolist()
+        assert list(rot) == (svd if projected else list(product))
         assert (list(rot) != list(product)) == projected
+        expected = np.reshape(r9, (3, 3)) @ np.array(step[1]) + [0.5, -1.0, 2.0]
+        assert np.allclose(pos, expected, rtol=0.0, atol=1e-12)
 
     def test_long_chain_stays_within_the_tolerance(self, rng, monkeypatch):
         # One product of rotations drifts by about 1e-16, so a chain projects
         # rarely, and never lets an entry of E pass DRIFT_TOL by more than
         # one step's rounding.
-        project, projected = geometry._project_rows, []
+        project, projected = geometry._project_svd, []
 
-        def counting(a, keep=0.0):
-            out = project(a, keep)
-            projected.append(out is not a)
-            return out
+        def counting(a):
+            projected.append(a)
+            return project(a)
 
-        monkeypatch.setattr(geometry, "_project_rows", counting)
+        monkeypatch.setattr(geometry, "_project_svd", counting)
         step = geometry._increment_raw(Twist(rng.normal(size=3), rng.normal(size=3)), 1e-3)
         r, p, rots = np.eye(3).ravel().tolist(), [0.0, 0.0, 0.0], []
         for _ in range(100_000):
             r, p = geometry._advance(r, p, *step)
             rots.append(r)
         assert _drift(rots) <= geometry.DRIFT_TOL + 4.0 * np.finfo(float).eps
-        assert len(projected) == 100_000
-        assert 0 < sum(projected) < 1_000
+        assert 0 < len(projected) < 1_000
 
 
 class TestTypes:

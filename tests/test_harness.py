@@ -399,9 +399,10 @@ class TestRunLoop:
         )
 
     def test_rejects_bad_stride(self):
-        # nan would skip every step but the last; 2.5 would fail inside numpy.
-        for stride in (0, math.nan, 2.5, True):
-            with pytest.raises(ValueError, match="stride"):
+        # nan would skip every step but the last; 2.5 would fail inside numpy;
+        # the message names a stride of more than 4,300 digits without them.
+        for stride in (0, math.nan, 2.5, True, -10**5000):
+            with pytest.raises(ValueError, match="stride must be an integer >= 1, got"):
                 run(make_compact_scenario(duration=0.01), stride=stride)
 
     def test_deterministic_given_seed(self):
@@ -592,14 +593,15 @@ class TestSettlingTime:
             ({"hold": math.nan}, "hold must be finite and >= 0, got nan"),
             ({"hold": math.inf}, "hold must be finite and >= 0, got inf"),
             ({"hold": 10**400}, "hold must be finite and >= 0, got 1000"),
+            ({"hold": 10**5000}, "hold must be finite and >= 0, got an integer too long to print"),
             ({"hold": "1"}, "hold must be finite and >= 0, got '1'"),
             ({"threshold": math.nan}, "threshold must be positive and finite, got nan"),
             ({"threshold": 0.0}, "threshold must be positive and finite, got 0.0"),
             ({"threshold": -0.05}, "threshold must be positive and finite, got -0.05"),
             ({"threshold": math.inf}, "threshold must be positive and finite, got inf"),
         ],
-        ids=["negative-hold", "nan-hold", "inf-hold", "huge-integer-hold", "str-hold",
-             "nan-threshold", "zero-threshold", "negative-threshold", "inf-threshold"],
+        ids=["negative-hold", "nan-hold", "inf-hold", "huge-integer-hold", "long-integer-hold",
+             "str-hold", "nan-threshold", "zero-threshold", "negative-threshold", "inf-threshold"],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
         # A negative hold read 0.0 and a NaN hold or threshold None; an

@@ -30,18 +30,25 @@ from slamobs import (
     adaptation_gain,
     bias_error,
     correction_terms,
+    TwistProfile,
     error_geometry,
+    fit_exponential_decay,
     hat3,
     landmark_errors,
     lyapunov_value,
     observer_step,
     pose_error,
+    project_orthonormal,
     sense,
+    settling_time,
     so3_exp,
+    sweep,
+    vee3,
 )
 
 from slamobs import observer
 
+from conftest import make_compact_scenario
 from oracles import landmark_moments, matexp_taylor, twist_matrix
 
 SQUARE_LANDMARKS = np.array(
@@ -1052,6 +1059,7 @@ FIELD_CASES = [
     (_frame, "omega_m", NAN3, "finite"),
     (_frame, "v_m", np.array([0.0, 0.0, -np.inf]), "finite"),
     (_frame, "y", INF_ROWS, "finite"),
+    (_frame, "t", math.nan, "finite"),
     (_gains, "gamma", np.eye(2), "a scalar or 3x3 matrix"),
 ]
 
@@ -1068,3 +1076,52 @@ class TestFieldRules:
     def test_rejects(self, build, field, value, rule):
         with pytest.raises(ValueError, match=f"{field} must be {rule}"):
             build(**{field: value})
+
+
+HUGE = 10**400
+HUGE_ROW = [0.0, HUGE, 0.0]
+# Each public constructor or input function, given the integer HUGE in the
+# named argument.
+HUGE_CASES = {
+    "Rotation3-rotation": lambda: Rotation3([[1.0, 0.0, 0.0], HUGE_ROW, [0.0, 0.0, 1.0]]),
+    "Twist-omega": lambda: Twist(HUGE_ROW, np.zeros(3)),
+    "Pose-position": lambda: Pose(Rotation3.identity(), HUGE_ROW),
+    "SensorBias-vel": lambda: _bias(vel=HUGE_ROW),
+    "SensorFrame-y": lambda: _frame(y=[HUGE_ROW] * 3),
+    "SensorFrame-t": lambda: _frame(t=HUGE),
+    "ObserverState-landmarks_hat": lambda: _state(landmarks_hat=[HUGE_ROW] * 3),
+    "TrueState-landmarks": lambda: TrueState(Pose.identity(), [HUGE_ROW] * 3),
+    "GainConfig-gamma": lambda: _gains(gamma=HUGE),
+    "GainConfig-alpha": lambda: _gains(alpha=[1.0, 1.0, HUGE]),
+    "NoiseSpec-sigma_v": lambda: NoiseSpec(sigma_v=HUGE),
+    "TwistProfile-twist knot times": lambda: TwistProfile(
+        ((0.0, Twist.zero()), (HUGE, Twist.zero()))
+    ),
+    "so3_exp-omega_dt": lambda: so3_exp(HUGE_ROW),
+    "hat3-v": lambda: hat3(HUGE_ROW),
+    "vee3-skew matrix": lambda: vee3([HUGE_ROW, [0.0] * 3, [0.0] * 3]),
+    "project_orthonormal-matrix": lambda: project_orthonormal(
+        [[1.0, 0.0, 0.0], HUGE_ROW, [0.0, 0.0, 1.0]]
+    ),
+    "error_geometry-e": lambda: error_geometry(HUGE_ROW, 1.0),
+    "adaptation_gain-e": lambda: adaptation_gain(HUGE_ROW, 1.0),
+    "lyapunov_value-errors": lambda: lyapunov_value(
+        ObserverState.cold_start(3), [HUGE_ROW] * 3, SensorBias.zero(), _gains()
+    ),
+    "settling_time-t": lambda: settling_time([0.0, HUGE], [0.0, 0.0]),
+    "fit_exponential_decay-values": lambda: fit_exponential_decay([0.0, 1.0], [1.0, HUGE]),
+    "sweep-values": lambda: sweep(make_compact_scenario(duration=0.01), "k_p", [1.0, HUGE]),
+}
+
+
+class TestIntegerPastTheFloatRange:
+    """An integer too large for a float is a ValueError naming its argument,
+    without its digits, wherever a value enters."""
+
+    @pytest.mark.parametrize("case", list(HUGE_CASES))
+    def test_raises_value_error_naming_the_argument(self, case):
+        name = case.split("-", 1)[1]
+        with pytest.raises(
+            ValueError, match=f"^{name} must be finite, got a number too large for a float$"
+        ):
+            HUGE_CASES[case]()

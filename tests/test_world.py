@@ -252,5 +252,8 @@ class TestTypes:
         assert NoiseSpec(seed=np.int64(9)).seed == 9
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            NoiseSpec(seed=-1)
+        # The message names a seed of more than 4,300 digits without them.
+        for seed, shown in ((-1, "-1"), (-10**5000, "an integer too long to print")):
+            message = f"^seed must be a nonnegative integer, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                NoiseSpec(seed=seed)
